@@ -9,7 +9,7 @@ from aligndet import tensor as T
 from aligndet.tensor import Tensor, grad_check
 
 print("== scalar chain rule ==")
-x = Tensor(np.array(3.0, dtype=np.float64), requires_grad=True)
+x = Tensor(np.array(3.0, dtype=np.float64))
 y = T.tensor_sum(T.power(T.add(T.mul(x, 2.0), 1.0), 2.0))   # (2x+1)^2
 y.backward()
 print(f"d/dx (2x+1)^2 at x=3: {x.grad}  (expected {4 * (2 * 3 + 1)})")
@@ -17,8 +17,8 @@ print(f"d/dx (2x+1)^2 at x=3: {x.grad}  (expected {4 * (2 * 3 + 1)})")
 print("\n== a small conv + relu + pool graph ==")
 rng = np.random.default_rng(0)
 img = Tensor(rng.normal(size=(6, 6, 2)).astype(np.float64))
-w = Tensor(rng.normal(size=(3, 3, 2, 4)).astype(np.float64) * 0.3, requires_grad=True)
-b = Tensor(np.zeros(4, dtype=np.float64), requires_grad=True)
+w = Tensor(rng.normal(size=(3, 3, 2, 4)).astype(np.float64) * 0.3)
+b = Tensor(np.zeros(4, dtype=np.float64))
 
 def network(params):
     h = T.relu(T.conv2d(img, params["w"], params["b"], pad=1))
@@ -33,8 +33,8 @@ print(f"finite-difference check, max relative error: {err:.2e}")
 
 print("\n== bilinear sampling is differentiable in the coordinates ==")
 m = Tensor(np.arange(16, dtype=np.float64).reshape(4, 4, 1))
-i = Tensor(np.array(1.5), requires_grad=True)
-j = Tensor(np.array(2.25), requires_grad=True)
-v = T.bilinear_sample(m, i, j, 0)
+i = Tensor(np.full((1, 1, 1), 1.5))
+j = Tensor(np.full((1, 1, 1), 2.25))
+v = T.tensor_sum(T.bilinear_sample_per_channel(m, i, j))
 v.backward()
-print(f"sample at (1.5, 2.25) = {float(v.data)}; dv/di = {float(i.grad)} (row step is 4)")
+print(f"sample at (1.5, 2.25) = {float(v.data)}; dv/di = {i.grad.item()} (row step is 4)")

@@ -203,10 +203,10 @@ def _cmd_eval(args):
 
 
 def _cmd_analyze(args):
+    records = read_dataset(args.dataset)
     rows = []
     for label, path in (("model", args.checkpoint), ("baseline", args.baseline)):
         cfg, forward, _ = _restore(path, args.config)
-        records = read_dataset(args.dataset)
         _check_records(records, cfg, args.dataset)
         rows.append((label, evaluate_dataset(forward, records, cfg.grid())))
     ensure_dir(args.out)

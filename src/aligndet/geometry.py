@@ -31,10 +31,6 @@ class Box:
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
 
-    @property
-    def area(self):
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
     def as_array(self):
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
@@ -115,27 +111,6 @@ def giou(box_a, box_b):
     a = box_a.as_array() if isinstance(box_a, Box) else np.asarray(box_a, dtype=np.float64)
     b = box_b.as_array() if isinstance(box_b, Box) else np.asarray(box_b, dtype=np.float64)
     return float(pairwise_giou(a[None, :], b[None, :])[0, 0])
-
-
-def distances_to_box(px, py, box):
-    """Signed (left, top, right, bottom) distances from points to box edges.
-
-    All four are positive exactly when the point is strictly inside.
-    """
-    b = box.as_array() if isinstance(box, Box) else np.asarray(box, dtype=np.float64)
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    return np.stack([px - b[0], py - b[1], b[2] - px, b[3] - py], axis=-1)
-
-
-def box_from_distances(px, py, ltrb):
-    """Invert :func:`distances_to_box`: (x1, y1, x2, y2) arrays from ltrb."""
-    d = np.asarray(ltrb, dtype=np.float64)
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    return np.stack(
-        [px - d[..., 0], py - d[..., 1], px + d[..., 2], py + d[..., 3]], axis=-1
-    )
 
 
 def centers_inside(px, py, boxes):

@@ -41,7 +41,6 @@ class HeadConfig:
     num_classes: int = 3        # K
     attention_ratio: int = 4    # r
     align_channels: int = 8     # width of the M/O reduction convs
-    stride: int = 8
     prior_prob: float = 0.01    # initial positive rate for score logits
 
     def validate(self):
@@ -68,7 +67,7 @@ class HeadOutputs:
     w_cls: Tensor               # [N] attention gates
     w_loc: Tensor
     inter: list = field(default_factory=list)      # N interactive maps
-    task_cls: list = field(default_factory=list)   # gated stacks, for tests
+    task_cls: list = field(default_factory=list)   # gated stacks, for the unit-gates probe
     task_loc: list = field(default_factory=list)
 
 
@@ -98,7 +97,7 @@ def init_head_params(cfg, seed=0):
     params = {}
 
     def add(name, arr):
-        params[name] = Tensor(arr, requires_grad=True)
+        params[name] = Tensor(arr)
 
     for i in range(n):
         add(f"inter.{i}.w", _he_conv(rng, 3, c, c))
@@ -159,7 +158,7 @@ def layer_attention(inter, params, task, override_w=None):
     return w, task_feats
 
 
-def tap_predict(task_feats, params, task, cfg):
+def tap_predict(task_feats, params, task):
     """Reduce the gated stack and predict; scores for cls, distances for loc.
 
     Localization output is exp(raw): positive distances in stride units,
@@ -221,8 +220,8 @@ def head_forward(x, params, cfg, override_m=None, override_o=None,
     inter_concat = T.concat(inter)
     w_cls, task_cls = layer_attention(inter, params, "cls", override_w=override_w_cls)
     w_loc, task_loc = layer_attention(inter, params, "loc", override_w=override_w_loc)
-    P = tap_predict(task_cls, params, "cls", cfg)
-    B = tap_predict(task_loc, params, "loc", cfg)
+    P = tap_predict(task_cls, params, "cls")
+    B = tap_predict(task_loc, params, "loc")
     M, P_align = align_classification(P, inter_concat, params, override_m=override_m)
     O, B_align = align_localization(B, inter_concat, params, override_o=override_o)
     return HeadOutputs(

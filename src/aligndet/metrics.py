@@ -221,23 +221,21 @@ def _class_ap(image_dets, image_gts, class_id, threshold):
     return _interpolated_ap(points)
 
 
-def average_precision(image_dets, image_gts, thresholds=IOU_THRESHOLDS):
-    """(ap50, ap averaged over thresholds), class-averaged; None without GT."""
+def average_precision(image_dets, image_gts):
+    """(ap50, ap averaged over IOU_THRESHOLDS), class-averaged; None without GT.
+
+    Every class averaged has ground truth, so each _class_ap is a number;
+    AP50 is the sweep's first entry, since IOU_THRESHOLDS starts at 0.5.
+    """
     classes = sorted({cls for gts in image_gts for _, cls in gts})
     if not classes:
         return None, None
     ap50_per_class = []
     ap_per_class = []
     for c in classes:
-        per_threshold = [_class_ap(image_dets, image_gts, c, t) for t in thresholds]
-        per_threshold = [v for v in per_threshold if v is not None]
-        ap50 = _class_ap(image_dets, image_gts, c, 0.5)
-        if ap50 is not None:
-            ap50_per_class.append(ap50)
-        if per_threshold:
-            ap_per_class.append(float(np.mean(per_threshold)))
-    if not ap_per_class:
-        return None, None
+        per_threshold = [_class_ap(image_dets, image_gts, c, t) for t in IOU_THRESHOLDS]
+        ap50_per_class.append(per_threshold[0])
+        ap_per_class.append(float(np.mean(per_threshold)))
     return float(np.mean(ap50_per_class)), float(np.mean(ap_per_class))
 
 

@@ -90,7 +90,6 @@ class ModelConfig:
             num_classes=self.num_classes,
             attention_ratio=self.attention_ratio,
             align_channels=self.align_channels,
-            stride=self.stride,
             prior_prob=self.prior_prob,
         )
 
@@ -129,9 +128,9 @@ def init_model_params(cfg):
     for i, (cout, _) in enumerate(zip(cfg.backbone_channels, cfg.backbone_strides)):
         std = math.sqrt(2.0 / (9 * cin))
         params[f"backbone.{i}.w"] = Tensor(
-            (rng.normal((3, 3, cin, cout)) * std).astype(np.float32), requires_grad=True
+            (rng.normal((3, 3, cin, cout)) * std).astype(np.float32)
         )
-        params[f"backbone.{i}.b"] = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
+        params[f"backbone.{i}.b"] = Tensor(np.zeros(cout, dtype=np.float32))
         cin = cout
     head = init_head_params(cfg.head_config(), seed=int(rng.raw(1)[0]))
     overlap = set(params) & set(head)

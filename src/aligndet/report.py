@@ -32,22 +32,6 @@ def write_report_csv(path, rows):
             writer.writerow([label] + report.csv_row())
 
 
-def read_report_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            label = raw.pop("model")
-            kwargs = {}
-            for key, value in raw.items():
-                if key.startswith("n_"):
-                    kwargs[key] = int(value)
-                else:
-                    kwargs[key] = None if value == "" else float(value)
-            rows.append((label, AlignmentReport(**kwargs)))
-        return rows
-
-
 def write_grid_csv(path, grid_values):
     """Dump a 2-d array as bare CSV, one row per line. Used for score maps."""
     with open(path, "w", newline="") as fh:
@@ -156,13 +140,6 @@ def write_report_plot(path, rows):
     legend = [(label, colors[ri % len(colors)]) for ri, label in enumerate(labels)]
     with open(path, "w") as fh:
         fh.write(_frame("alignment diagnostics", "", "value in [0, 1]", body, legend))
-
-
-def read_loss_curve(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [{k: (int(v) if k == "step" else float(v)) for k, v in row.items()}
-                for row in reader]
 
 
 def ensure_dir(path):

@@ -1,10 +1,10 @@
 """Runtime health checks behind the ``gradcheck`` CLI verb.
 
 Each suite returns (name, passed, detail) triples so the CLI can print a
-line per check. The assignment suite carries its own reference
-implementation, written as plain per-instance loops, so the vectorized
-assigner is compared against independently derived results rather than
-itself.
+line per check. The assignment suite compares the vectorized assigner
+against :func:`brute_force_assign`, written as plain per-anchor loops, so
+it is checked against independently derived results rather than itself.
+The acceptance and unit tests use the same reference.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import tempfile
 import numpy as np
 
 from . import tensor as T
-from .assignment import AnchorGrid, assign, decode_boxes
+from .assignment import AnchorGrid, assign
 from .errors import FormatError
-from .geometry import Box, pairwise_iou
+from .geometry import Box, iou
 from .losses import total_loss
 from .model import ModelConfig, build_model
 from .scenes import (
@@ -117,43 +117,62 @@ def identity_suite():
     return results
 
 
-def _reference_assign(instances, grid, p_align, b_align, m, alpha, beta):
-    """Slow per-instance reference for the assignment rule."""
-    xs, ys = grid.points()
-    boxes = decode_boxes(b_align, grid)
-    A = grid.count
-    p = np.asarray(p_align, dtype=np.float64).reshape(A, -1)
-    per_instance = []
-    for n, (box, class_id) in enumerate(instances):
-        rows = []
-        for a in range(A):
+def brute_force_assign(instances, grid, p_align, b_align, m, alpha, beta):
+    """Exhaustive top-m assignment with the documented conflict rule.
+
+    The reference the vectorized assigner is checked against: plain loops
+    over anchors, boxes decoded here from the distance map, none of the code
+    in ``assignment``, and IoU from the scalar :func:`geometry.iou`. Returns
+    (is_positive, instance_index, t_hat) lists over anchors.
+    """
+    p = np.asarray(p_align, dtype=np.float64)
+    b = np.asarray(b_align, dtype=np.float64)
+    xs = [(a % grid.width + 0.5) * grid.stride for a in range(grid.count)]
+    ys = [(a // grid.width + 0.5) * grid.stride for a in range(grid.count)]
+    decoded = []
+    for a in range(grid.count):
+        i, j = divmod(a, grid.width)
+        l, t_, r, bt = (float(b[i, j, c]) * grid.stride for c in range(4))
+        decoded.append((xs[a] - l, ys[a] - t_, xs[a] + r, ys[a] + bt))
+
+    claims = {}          # anchor -> list of (instance, u, t)
+    for n, (box, cls) in enumerate(instances):
+        scored = []
+        for a in range(grid.count):
             if not (box.x1 < xs[a] < box.x2 and box.y1 < ys[a] < box.y2):
                 continue
-            s = p[a, class_id]
-            u = float(pairwise_iou(boxes[a][None, :], box.as_array()[None, :])[0, 0])
-            rows.append((a, s, u, (s ** alpha) * (u ** beta)))
-        rows.sort(key=lambda r: (-r[3], r[0]))
-        per_instance.append(rows[:m])
-    claims = {}
-    for n, rows in enumerate(per_instance):
-        for a, s, u, t in rows:
-            if a not in claims or (u, -n) > (claims[a][1], -claims[a][0]):
-                claims[a] = (n, u, s, t)
-    is_positive = np.zeros(A, dtype=bool)
-    owner = np.full(A, -1, dtype=np.int64)
-    t_hat = np.zeros(A)
-    for a, (n, u, s, t) in claims.items():
+            u = iou(decoded[a], box)
+            i, j = divmod(a, grid.width)
+            s = float(p[i, j, cls])
+            t = (s ** alpha) * (u ** beta)
+            scored.append((a, u, t))
+        scored.sort(key=lambda row: (-row[2], row[0]))
+        for a, u, t in scored[:m]:
+            claims.setdefault(a, []).append((n, u, t))
+
+    is_positive = [False] * grid.count
+    instance_index = [-1] * grid.count
+    t_vals = [0.0] * grid.count
+    u_vals = [0.0] * grid.count
+    for a, entries in claims.items():
+        entries.sort(key=lambda e: (-e[1], e[0]))
+        n, u, t = entries[0]
         is_positive[a] = True
-        owner[a] = n
+        instance_index[a] = n
+        t_vals[a] = t
+        u_vals[a] = u
+
+    t_hat = [0.0] * grid.count
     for n in range(len(instances)):
-        mine = [a for a in claims if claims[a][0] == n]
-        if not mine:
+        members = [a for a in range(grid.count) if instance_index[a] == n]
+        if not members:
             continue
-        max_u = max(claims[a][1] for a in mine)
-        max_t = max(claims[a][3] for a in mine)
-        for a in mine:
-            t_hat[a] = claims[a][3] * (max_u / max_t) if max_t > 0 else 0.0
-    return is_positive, owner, t_hat
+        max_t = max(t_vals[a] for a in members)
+        max_u = max(u_vals[a] for a in members)
+        if max_t > 0:
+            for a in members:
+                t_hat[a] = t_vals[a] * (max_u / max_t)
+    return is_positive, instance_index, t_hat
 
 
 def assignment_suite(n_cases=50, seed=0):
@@ -180,7 +199,7 @@ def assignment_suite(n_cases=50, seed=0):
         p = rng.uniform((h, w, 3)).astype(np.float64)
         b = (0.2 + rng.uniform((h, w, 4)) * 3.0).astype(np.float64)
         got = assign(instances, grid, p, b)
-        want_pos, want_owner, want_that = _reference_assign(
+        want_pos, want_owner, want_that = brute_force_assign(
             instances, grid, p, b, m=13, alpha=1.0, beta=6.0
         )
         same = (

@@ -36,15 +36,14 @@ class Tensor:
     and never mutate their operands.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = ()
         self._backward_fn = None
 
@@ -55,9 +54,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -133,7 +129,6 @@ def _node(data, parents, backward_fn):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = False
     out._parents = tuple(parents)
     out._backward_fn = backward_fn
     return out
@@ -340,10 +335,6 @@ def maximum(a, b):
     return _node(data, (a, b), backward_fn)
 
 
-def clamp_min(a, floor):
-    return maximum(a, _lift(np.asarray(floor, dtype=_lift(a, np.float32).dtype), None))
-
-
 def tensor_sum(a):
     """Sum of all elements, as a scalar tensor."""
     a = _lift(a, np.float32)
@@ -379,34 +370,6 @@ def concat(tensors, axis=-1):
             _accum(t, g[tuple(sl)])
 
     return _node(data, tensors, backward_fn)
-
-
-def split(a, sizes, axis=-1):
-    """Inverse of concat: slice ``a`` into chunks of the given sizes."""
-    a = _lift(a, np.float32)
-    ax = axis % a.data.ndim
-    if sum(sizes) != a.shape[ax]:
-        raise ShapeError(f"split: sizes {sizes} do not cover axis of length {a.shape[ax]}")
-    outs = []
-    lo = 0
-    for size in sizes:
-        lo_c, hi_c = lo, lo + size
-
-        def make_backward(lo_c=lo_c, hi_c=hi_c):
-            def backward_fn(g):
-                full = np.zeros(a.shape, dtype=a.dtype)
-                sl = [slice(None)] * a.data.ndim
-                sl[ax] = slice(lo_c, hi_c)
-                full[tuple(sl)] = g
-                _accum(a, full)
-
-            return backward_fn
-
-        sl = [slice(None)] * a.data.ndim
-        sl[ax] = slice(lo_c, hi_c)
-        outs.append(_node(a.data[tuple(sl)].copy(), (a,), make_backward()))
-        lo += size
-    return outs
 
 
 def select_channels(a, indices):
@@ -564,53 +527,20 @@ def _corner_setup(coord, size):
     return lo, hi, frac, in_range
 
 
-def bilinear_sample(feature_map, i, j, c):
-    """Sample channel ``c`` of an [H,W,C] map at fractional (i, j).
-
-    Coordinates are clamped to the map before interpolation, so out-of-range
-    samples reduce to the border value. Differentiable w.r.t. the map values
-    and w.r.t. the coordinates (zero coordinate gradient in clamped regions).
-    """
-    feature_map = _lift(feature_map, np.float32)
-    if feature_map.data.ndim != 3:
-        raise ShapeError(f"bilinear_sample expects an [H,W,C] map, got {feature_map.shape}")
-    h, w, _ = feature_map.shape
-    ti = _lift(i, feature_map.dtype)
-    tj = _lift(j, feature_map.dtype)
-    i0, i1, di, i_in = _corner_setup(float(ti.data), h)
-    j0, j1, dj, j_in = _corner_setup(float(tj.data), w)
-    m = feature_map.data
-    v00, v01 = m[i0, j0, c], m[i0, j1, c]
-    v10, v11 = m[i1, j0, c], m[i1, j1, c]
-    w00 = (1.0 - di) * (1.0 - dj)
-    w01 = (1.0 - di) * dj
-    w10 = di * (1.0 - dj)
-    w11 = di * dj
-    data = np.asarray(w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11,
-                      dtype=feature_map.dtype)
-
-    def backward_fn(g):
-        gm = np.zeros(feature_map.shape, dtype=feature_map.dtype)
-        gm[i0, j0, c] += g * w00
-        gm[i0, j1, c] += g * w01
-        gm[i1, j0, c] += g * w10
-        gm[i1, j1, c] += g * w11
-        _accum(feature_map, gm)
-        gdi = (1.0 - dj) * (v10 - v00) + dj * (v11 - v01)
-        gdj = (1.0 - di) * (v01 - v00) + di * (v11 - v10)
-        _accum(ti, np.asarray(g * gdi if i_in else 0.0, dtype=ti.dtype))
-        _accum(tj, np.asarray(g * gdj if j_in else 0.0, dtype=tj.dtype))
-
-    return _node(data, (feature_map, ti, tj), backward_fn)
-
-
 def bilinear_sample_per_channel(feature_map, rows, cols):
     """Vectorized per-channel sampling of an [H,W,C] map.
 
     ``rows`` and ``cols`` are [H',W',C] tensors of absolute fractional
     coordinates; output[p,q,c] interpolates channel c at
-    (rows[p,q,c], cols[p,q,c]). Same clamp-to-border semantics and the same
-    gradients as :func:`bilinear_sample`, applied elementwise.
+    (rows[p,q,c], cols[p,q,c]). Each coordinate is clamped to [0, H-1]
+    (rows) or [0, W-1] (cols) before interpolation, so out-of-range samples
+    reduce to the border value along that axis.
+
+    Gradients: the map receives each output's gradient at its four corners,
+    scaled by the bilinear weights (corners shared by several samples
+    accumulate). A coordinate receives the slope of the interpolated surface
+    along its axis, taken in the cell it falls in; the slope is zero where
+    the coordinate was clamped, that is at or beyond either border.
     """
     feature_map = _lift(feature_map, np.float32)
     rows = _lift(rows, feature_map.dtype)
@@ -668,7 +598,7 @@ def grad_check(build, params, eps=1e-4, coords_per_param=None, seed=0):
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-6).
     """
     params64 = {
-        name: Tensor(p.data.astype(np.float64), requires_grad=True)
+        name: Tensor(p.data.astype(np.float64))
         for name, p in params.items()
     }
     out = build(params64)

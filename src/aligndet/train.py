@@ -217,7 +217,7 @@ def load_checkpoint(path):
                 f"parameter {name!r} declares shape {shape} but payload holds "
                 f"{data.shape}"
             )
-        params[name] = Tensor(data, requires_grad=True)
+        params[name] = Tensor(data)
     if cursor != len(payload):
         raise CheckpointError(
             f"{len(payload) - cursor} unaccounted payload bytes after last parameter"

@@ -9,63 +9,28 @@ import math
 
 import numpy as np
 
-from aligndet.geometry import giou as giou_scalar
-from aligndet.geometry import iou as iou_scalar
 
 
-def brute_force_assign(instances, grid, p_align, b_align, m, alpha, beta):
-    """Exhaustive top-m assignment with the documented conflict rule.
+def bilinear_sample_reference(feature_map, i, j, c):
+    """Channel ``c`` of an [H,W,C] array at fractional (i, j), in plain floats.
 
-    Returns (is_positive, instance_index, t_hat) lists over anchors.
+    Each coordinate is clamped to the map, then the value is interpolated
+    between the two nearest rows and the two nearest columns.
     """
-    p = np.asarray(p_align, dtype=np.float64)
-    b = np.asarray(b_align, dtype=np.float64)
-    xs = [(a % grid.width + 0.5) * grid.stride for a in range(grid.count)]
-    ys = [(a // grid.width + 0.5) * grid.stride for a in range(grid.count)]
-    decoded = []
-    for a in range(grid.count):
-        i, j = divmod(a, grid.width)
-        l, t_, r, bt = (float(b[i, j, c]) * grid.stride for c in range(4))
-        decoded.append((xs[a] - l, ys[a] - t_, xs[a] + r, ys[a] + bt))
+    h, w = len(feature_map), len(feature_map[0])
+    i = min(max(float(i), 0.0), h - 1.0)
+    j = min(max(float(j), 0.0), w - 1.0)
+    i0 = min(int(math.floor(i)), max(h - 2, 0))
+    j0 = min(int(math.floor(j)), max(w - 2, 0))
+    i1, j1 = min(i0 + 1, h - 1), min(j0 + 1, w - 1)
+    di, dj = i - i0, j - j0
 
-    claims = {}          # anchor -> list of (instance, u, t)
-    for n, (box, cls) in enumerate(instances):
-        scored = []
-        for a in range(grid.count):
-            if not (box.x1 < xs[a] < box.x2 and box.y1 < ys[a] < box.y2):
-                continue
-            u = iou_scalar(decoded[a], box)
-            i, j = divmod(a, grid.width)
-            s = float(p[i, j, cls])
-            t = (s ** alpha) * (u ** beta)
-            scored.append((a, u, t))
-        scored.sort(key=lambda row: (-row[2], row[0]))
-        for a, u, t in scored[:m]:
-            claims.setdefault(a, []).append((n, u, t))
+    def at(r, q):
+        return float(feature_map[r][q][c])
 
-    is_positive = [False] * grid.count
-    instance_index = [-1] * grid.count
-    t_vals = [0.0] * grid.count
-    u_vals = [0.0] * grid.count
-    for a, entries in claims.items():
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        n, u, t = entries[0]
-        is_positive[a] = True
-        instance_index[a] = n
-        t_vals[a] = t
-        u_vals[a] = u
-
-    t_hat = [0.0] * grid.count
-    for n in range(len(instances)):
-        members = [a for a in range(grid.count) if instance_index[a] == n]
-        if not members:
-            continue
-        max_t = max(t_vals[a] for a in members)
-        max_u = max(u_vals[a] for a in members)
-        if max_t > 0:
-            for a in members:
-                t_hat[a] = t_vals[a] * (max_u / max_t)
-    return is_positive, instance_index, t_hat
+    top = (1.0 - dj) * at(i0, j0) + dj * at(i0, j1)
+    bottom = (1.0 - dj) * at(i1, j0) + dj * at(i1, j1)
+    return (1.0 - di) * top + di * bottom
 
 
 def recompute_losses_from_rows(rows, gamma=2.0):

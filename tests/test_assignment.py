@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from oracle_utils import brute_force_assign
 
 from aligndet.assignment import (
     AnchorGrid,
@@ -12,6 +11,7 @@ from aligndet.assignment import (
 )
 from aligndet.geometry import Box
 from aligndet.scenes import SplitMix64
+from aligndet.selfcheck import brute_force_assign
 
 
 def make_grid(h=4, w=4, stride=8):

@@ -7,9 +7,7 @@ from aligndet.errors import GeometryError
 from aligndet.geometry import (
     Box,
     Detection,
-    box_from_distances,
     centers_inside,
-    distances_to_box,
     giou,
     iou,
     nms,
@@ -27,9 +25,6 @@ boxes_st = st.builds(
 
 
 class TestBox:
-    def test_area(self):
-        assert Box(0, 0, 4, 3).area == 12
-
     def test_degenerate_rejected(self):
         with pytest.raises(GeometryError):
             Box(0, 0, 0, 5)
@@ -105,27 +100,6 @@ class TestGiou:
 
 
 class TestDistances:
-    def test_center_of_square(self):
-        d = distances_to_box(2.0, 2.0, (0, 0, 4, 4))
-        assert np.allclose(d, [2.0, 2.0, 2.0, 2.0])
-
-    def test_signs_outside(self):
-        d = distances_to_box(-1.0, 5.0, (0, 0, 4, 4))
-        assert np.allclose(d, [-1.0, 5.0, 5.0, -1.0])
-
-    def test_roundtrip(self):
-        box = (1.0, 2.0, 7.0, 9.0)
-        px, py = 3.0, 4.0
-        back = box_from_distances(px, py, distances_to_box(px, py, box))
-        assert np.allclose(back, box)
-
-    def test_vectorized(self):
-        px = np.array([1.0, 3.0])
-        py = np.array([1.0, 3.0])
-        d = distances_to_box(px, py, (0, 0, 4, 4))
-        assert d.shape == (2, 4)
-        assert np.allclose(d[1], [3.0, 3.0, 1.0, 1.0])
-
     def test_centers_inside(self):
         boxes = np.array([[0, 0, 4, 4], [10, 10, 12, 12]], dtype=float)
         mask = centers_inside([2.0, 4.0, 11.0], [2.0, 2.0, 11.0], boxes)

@@ -20,7 +20,7 @@ from aligndet.tensor import Tensor
 
 def small_cfg(**kw):
     base = dict(channels=16, num_layers=2, num_classes=2,
-                attention_ratio=4, align_channels=4, stride=8)
+                attention_ratio=4, align_channels=4)
     base.update(kw)
     return HeadConfig(**base)
 
@@ -170,7 +170,7 @@ class TestTap:
         params["tap.cls.pred.w"].data = np.zeros_like(params["tap.cls.pred.w"].data)
         inter = interactive_features(random_input(cfg), params, cfg)
         _, feats = layer_attention(inter, params, "cls")
-        P = tap_predict(feats, params, "cls", cfg)
+        P = tap_predict(feats, params, "cls")
         assert np.allclose(P.data, 0.5)
 
     def test_zero_weights_give_unit_distances(self):
@@ -179,7 +179,7 @@ class TestTap:
         params["tap.loc.pred.w"].data = np.zeros_like(params["tap.loc.pred.w"].data)
         inter = interactive_features(random_input(cfg), params, cfg)
         _, feats = layer_attention(inter, params, "loc")
-        B = tap_predict(feats, params, "loc", cfg)
+        B = tap_predict(feats, params, "loc")
         assert np.allclose(B.data, 1.0)  # exp(0), one stride unit
 
     def test_audit_shapes_at_80_classes(self):

@@ -137,7 +137,7 @@ class TestRegLoss:
         assert float(loss.data) == 0.0
 
     def test_zero_weight_blocks_gradient(self):
-        b = Tensor(np.full((1, 1, 4), 0.5), requires_grad=True)
+        b = Tensor(np.full((1, 1, 4), 0.5))
         inst = [(Box(2, 2, 3, 3, class_id=0), 0)]
         loss = reg_loss(b, single_anchor_assignment(0.0), inst, self.grid1())
         loss.backward()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_utils import bilinear_sample_reference
 
 from aligndet import tensor as T
 from aligndet.errors import FormatError, GraphError, ShapeError
@@ -58,13 +59,13 @@ class TestForwardValues:
 
     def test_sqrt_known_gradient(self):
         # d/dx sqrt(x) at 0.25 is 1/(2*0.5) = 1
-        x = Tensor([0.25], requires_grad=True)
+        x = Tensor([0.25])
         out = T.tensor_sum(T.sqrt(x))
         out.backward()
         assert x.grad[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_sqrt_clamped_region_has_zero_grad(self):
-        x = Tensor([0.0], requires_grad=True)
+        x = Tensor([0.0])
         out = T.tensor_sum(T.sqrt(x))
         out.backward()
         assert np.isfinite(out.data)
@@ -78,18 +79,22 @@ class TestForwardValues:
 
     def test_power_square_gradient(self):
         # d/dx x^2 at 3 is 6
-        x = Tensor([3.0], requires_grad=True)
+        x = Tensor([3.0])
         T.tensor_sum(T.power(x, 2.0)).backward()
         assert x.grad[0] == pytest.approx(6.0, rel=1e-6)
 
     def test_concat_split_roundtrip(self):
+        # forward joins the inputs; backward splits the gradient back
         a = Tensor(np.arange(12, dtype=np.float32).reshape(2, 2, 3))
         b = Tensor(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
         joined = T.concat([a, b])
         assert joined.shape == (2, 2, 5)
-        back_a, back_b = T.split(joined, [3, 2])
-        assert np.array_equal(back_a.data, a.data)
-        assert np.array_equal(back_b.data, b.data)
+        assert np.array_equal(joined.data[..., :3], a.data)
+        assert np.array_equal(joined.data[..., 3:], b.data)
+        probe = np.arange(20, dtype=np.float32).reshape(2, 2, 5)
+        T.tensor_sum(T.mul(joined, Tensor(probe))).backward()
+        assert np.array_equal(a.grad, probe[..., :3])
+        assert np.array_equal(b.grad, probe[..., 3:])
 
     def test_linear_known_value(self):
         w = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -158,38 +163,43 @@ class TestConv:
             T.conv2d(x, Tensor(np.ones((3, 3, 2, 1))), Tensor(np.zeros(2)))  # bias size
 
 
+def point(v):
+    """One [1,1,1] sample coordinate."""
+    return Tensor(np.full((1, 1, 1), v, dtype=np.float32))
+
+
 class TestBilinear:
     def test_midpoint_average(self):
         m = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]], dtype=np.float32)[..., None])
-        out = T.bilinear_sample(m, Tensor(0.5), Tensor(0.5), 0)
-        assert out.data == pytest.approx(1.5)
+        out = T.bilinear_sample_per_channel(m, point(0.5), point(0.5))
+        assert out.data[0, 0, 0] == pytest.approx(1.5)
 
     def test_integer_coordinate_is_exact(self):
         m = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3, 1))
-        out = T.bilinear_sample(m, Tensor(1.0), Tensor(2.0), 0)
-        assert out.data == pytest.approx(5.0)
+        out = T.bilinear_sample_per_channel(m, point(1.0), point(2.0))
+        assert out.data[0, 0, 0] == pytest.approx(5.0)
 
     def test_out_of_range_clamps_to_border(self):
         m = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2, 1))
-        assert T.bilinear_sample(m, Tensor(-3.0), Tensor(-3.0), 0).data == pytest.approx(0.0)
-        assert T.bilinear_sample(m, Tensor(9.0), Tensor(9.0), 0).data == pytest.approx(3.0)
+        low = T.bilinear_sample_per_channel(m, point(-3.0), point(-3.0))
+        high = T.bilinear_sample_per_channel(m, point(9.0), point(9.0))
+        assert low.data[0, 0, 0] == pytest.approx(0.0)
+        assert high.data[0, 0, 0] == pytest.approx(3.0)
 
     def test_coordinate_gradient(self):
         # map [[0,1],[2,3]]: at (0.5, 0.5) slope is 2 along rows, 1 along cols
         m = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]], dtype=np.float32)[..., None])
-        i = Tensor(0.5, requires_grad=True)
-        j = Tensor(0.5, requires_grad=True)
-        T.bilinear_sample(m, i, j, 0).backward()
-        assert i.grad == pytest.approx(2.0)
-        assert j.grad == pytest.approx(1.0)
+        i, j = point(0.5), point(0.5)
+        T.tensor_sum(T.bilinear_sample_per_channel(m, i, j)).backward()
+        assert i.grad[0, 0, 0] == pytest.approx(2.0)
+        assert j.grad[0, 0, 0] == pytest.approx(1.0)
 
     def test_clamped_coordinate_gradient_is_zero(self):
         m = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2, 1))
-        i = Tensor(-5.0, requires_grad=True)
-        j = Tensor(0.5, requires_grad=True)
-        T.bilinear_sample(m, i, j, 0).backward()
-        assert i.grad == 0.0
-        assert j.grad != 0.0
+        i, j = point(-5.0), point(0.5)
+        T.tensor_sum(T.bilinear_sample_per_channel(m, i, j)).backward()
+        assert i.grad[0, 0, 0] == 0.0
+        assert j.grad[0, 0, 0] != 0.0
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -200,10 +210,8 @@ class TestBilinear:
         for p in range(2):
             for q in range(2):
                 for c in range(3):
-                    ref = T.bilinear_sample(
-                        Tensor(m), Tensor(rows[p, q, c]), Tensor(cols[p, q, c]), c
-                    ).data
-                    assert out[p, q, c] == pytest.approx(float(ref), abs=1e-5)
+                    ref = bilinear_sample_reference(m, rows[p, q, c], cols[p, q, c], c)
+                    assert out[p, q, c] == pytest.approx(ref, abs=1e-5)
 
 
 class TestBackward:
@@ -214,19 +222,19 @@ class TestBackward:
 
     def test_chain(self):
         # y = sum((2x + 1)^2), dy/dx = 4(2x + 1)
-        x = Tensor([1.0, -2.0], requires_grad=True)
+        x = Tensor([1.0, -2.0])
         y = T.tensor_sum(T.power(x * 2.0 + 1.0, 2.0))
         y.backward()
         assert np.allclose(x.grad, [12.0, -12.0])
 
     def test_reuse_accumulates(self):
         # y = sum(x * x) uses x twice; dy/dx = 2x
-        x = Tensor([3.0], requires_grad=True)
+        x = Tensor([3.0])
         T.tensor_sum(x * x).backward()
         assert x.grad[0] == pytest.approx(6.0)
 
     def test_diamond_graph(self):
-        x = Tensor([1.0], requires_grad=True)
+        x = Tensor([1.0])
         a = x * 2.0
         b = x * 3.0
         T.tensor_sum(a + b).backward()
@@ -235,9 +243,9 @@ class TestBackward:
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(11)
-            x = Tensor(rng.normal(size=(6, 6, 2)).astype(np.float32), requires_grad=True)
-            w = Tensor(rng.normal(size=(3, 3, 2, 3)).astype(np.float32), requires_grad=True)
-            b = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
+            x = Tensor(rng.normal(size=(6, 6, 2)).astype(np.float32))
+            w = Tensor(rng.normal(size=(3, 3, 2, 3)).astype(np.float32))
+            b = Tensor(rng.normal(size=3).astype(np.float32))
             out = T.tensor_sum(T.relu(T.conv2d(x, w, b, pad=1)))
             out.backward()
             return out.data.copy(), x.grad.copy(), w.grad.copy()
@@ -312,7 +320,8 @@ class TestGradCheck:
 
         def build(p):
             joined = T.concat([p["a"], p["b"]])
-            left, right = T.split(joined, [2, 3])
+            left = T.select_channels(joined, [0, 1])
+            right = T.select_channels(joined, [2, 3, 4])
             picked = T.select_channels(joined, [0, 4, 4])
             one = T.take_channel(joined, 1)
             rows = T.gather_rows(joined, [0, 3, 3])
