@@ -189,13 +189,19 @@ def _cmd_eval(args):
     cfg, forward, step = _restore(args.checkpoint, args.config)
     records = read_dataset(args.dataset)
     _check_records(records, cfg, args.dataset)
-    report = evaluate_dataset(forward, records, cfg.grid())
+    score_maps = []
+
+    def forward_keeping_first(image):
+        # scene 0's score map goes to score_map.csv without a second forward
+        out = forward(image)
+        if not score_maps:
+            score_maps.append(out.P_align.data.max(axis=-1))
+        return out
+
+    report = evaluate_dataset(forward_keeping_first, records, cfg.grid())
     ensure_dir(args.out)
     write_single_report_csv(os.path.join(args.out, "alignment_report.csv"), report)
-    out0 = forward(records[0].image)
-    write_grid_csv(
-        os.path.join(args.out, "score_map.csv"), out0.P_align.data.max(axis=-1)
-    )
+    write_grid_csv(os.path.join(args.out, "score_map.csv"), score_maps[0])
     for column, value in zip(report.COLUMNS, report.csv_row()):
         print(f"{column} {value if value != '' else 'missing'}")
     print(f"evaluated {len(records)} scenes at step {step}")

@@ -126,30 +126,44 @@ def centers_inside(px, py, boxes):
     )
 
 
-def nms(detections, iou_threshold=0.6):
+def nms(detections, iou_threshold=0.6, max_detections=None):
     """Greedy class-wise non-maximum suppression.
 
     Candidates are visited in descending score order (ties broken by lower
     anchor index, then input order); a candidate is kept unless some
     already-kept detection of the same class overlaps it at IoU strictly
-    above the threshold. Returns kept detections in visit order.
+    above the threshold. Returns kept detections in visit order, stopping
+    once ``max_detections`` are kept (None: no limit), which is the same
+    list as the first ``max_detections`` of an unlimited run.
+
+    Each kept candidate suppresses the later live candidates of its class
+    with one [1,k] ``pairwise_iou`` row, so the work is bounded by the
+    number kept, and memory by the number of candidates.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise GeometryError(f"iou_threshold must be in [0,1], got {iou_threshold}")
-    order = sorted(
-        range(len(detections)),
-        key=lambda k: (-detections[k].score, detections[k].anchor_index, k),
-    )
+    if max_detections is not None and max_detections < 0:
+        raise GeometryError(f"max_detections must be >= 0, got {max_detections}")
+    n = len(detections)
+    if n == 0 or max_detections == 0:
+        return []
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    anchors = np.array([d.anchor_index for d in detections], dtype=np.int64)
+    order = np.lexsort((np.arange(n), anchors, -scores))
+    boxes = np.array(
+        [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections], dtype=np.float64
+    )[order]
+    classes = np.array([d.class_id for d in detections], dtype=np.int64)[order]
+    live = np.ones(n, dtype=bool)
     kept = []
-    for k in order:
-        det = detections[k]
-        suppressed = False
-        for other in kept:
-            if other.class_id != det.class_id:
-                continue
-            if iou(other.box, det.box) > iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(det)
+    for i in range(n):
+        if not live[i]:
+            continue
+        kept.append(detections[order[i]])
+        if len(kept) == max_detections:
+            break
+        rivals = i + 1 + np.flatnonzero(live[i + 1:] & (classes[i + 1:] == classes[i]))
+        if rivals.size:
+            overlap = pairwise_iou(boxes[i:i + 1], boxes[rivals])[0]
+            live[rivals[overlap > iou_threshold]] = False
     return kept

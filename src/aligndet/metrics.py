@@ -123,109 +123,122 @@ def alignment_analysis(pools, k1=50, k2=10):
 
 def detections_from_outputs(p_align, b_align, grid, score_floor=0.05,
                             nms_iou=0.6, max_detections=100):
-    """Threshold, decode, and class-wise NMS into a detection list."""
+    """Threshold, decode, and class-wise NMS into at most max_detections."""
     p = np.asarray(p_align, dtype=np.float64).reshape(grid.count, -1)
     boxes = decode_boxes(b_align, grid)
-    candidates = []
-    for a, c in zip(*np.nonzero(p > score_floor)):
-        x1, y1, x2, y2 = boxes[a]
-        if x2 <= x1 or y2 <= y1:
-            continue
-        candidates.append(
-            Detection(Box(x1, y1, x2, y2, class_id=int(c)), float(p[a, c]), int(c), int(a))
-        )
-    kept = nms(candidates, iou_threshold=nms_iou)
-    return kept[:max_detections]
+    anchor, cls = np.nonzero(p > score_floor)
+    x1, y1, x2, y2 = boxes[anchor].T
+    # skip boxes decoded inside out; a NaN box is not skipped and Box rejects it
+    keep = ~((x2 <= x1) | (y2 <= y1))
+    anchor, cls = anchor[keep], cls[keep]
+    candidates = [
+        Detection(Box(*box, class_id=c), score, c, a)
+        for a, c, score, box in zip(anchor.tolist(), cls.tolist(),
+                                    p[anchor, cls].tolist(), boxes[anchor].tolist())
+    ]
+    return nms(candidates, iou_threshold=nms_iou, max_detections=max_detections)
+
+
+def _box_array(items):
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in items], dtype=np.float64).reshape(-1, 4)
 
 
 def box_census(detections, instances):
     """(n_correct, n_redundant, n_error) over one image's detections.
 
     Detections are visited by descending score. Each is compared against
-    the same-class ground truth with the highest IoU: at IoU >= 0.5 it is
-    correct if that instance was still unmatched, redundant otherwise; at
-    0.1 < IoU < 0.5 it is an error box; below, it counts in no bucket.
+    the same-class ground truth with the highest IoU (the first one on
+    ties): at IoU >= 0.5 it is correct if that instance was still
+    unmatched, redundant otherwise; at 0.1 < IoU < 0.5 it is an error box;
+    below, it counts in no bucket. The counts do not depend on the visit
+    order, so they come from one detections x ground-truth IoU matrix.
     """
-    matched = [False] * len(instances)
-    n_correct = n_redundant = n_error = 0
-    order = sorted(
-        range(len(detections)),
-        key=lambda k: (-detections[k].score, detections[k].anchor_index, k),
-    )
-    gt_arr = np.stack([b.as_array() for b, _ in instances]) if instances else None
-    for k in order:
-        det = detections[k]
-        if gt_arr is None:
-            break
-        same = [n for n, (_, cls) in enumerate(instances) if cls == det.class_id]
-        if not same:
-            continue
-        ious = pairwise_iou(det.box.as_array()[None, :], gt_arr[same])[0]
-        best = int(np.argmax(ious))
-        best_iou = float(ious[best])
-        if best_iou >= 0.5:
-            if matched[same[best]]:
-                n_redundant += 1
-            else:
-                matched[same[best]] = True
-                n_correct += 1
-        elif 0.1 < best_iou < 0.5:
-            n_error += 1
-    return n_correct, n_redundant, n_error
+    if not detections or not instances:
+        return 0, 0, 0
+    det_classes = np.array([d.class_id for d in detections])
+    gt_classes = np.array([cls for _, cls in instances])
+    # other-class pairs read -1, below every bucket
+    ious = np.where(det_classes[:, None] == gt_classes[None, :],
+                    pairwise_iou(_box_array(d.box for d in detections),
+                                 _box_array(b for b, _ in instances)), -1.0)
+    best = ious.argmax(axis=1)
+    best_iou = ious.max(axis=1)
+    hit = best_iou >= 0.5
+    n_correct = int(np.unique(best[hit]).size)
+    n_error = int(((best_iou > 0.1) & (best_iou < 0.5)).sum())
+    return n_correct, int(hit.sum()) - n_correct, n_error
 
 
-def _interpolated_ap(points):
-    """101-point interpolated AP from cumulative (recall, precision)."""
+RECALL_POINTS = np.linspace(0.0, 1.0, 101)
+
+
+def _interpolated_ap(recall, precision):
+    """101-point interpolated AP from cumulative recall and precision.
+
+    At each recall point the envelope is the best precision at that recall
+    or beyond (0 where none reaches it). The 101 values are added one by
+    one in recall order, so the float result does not depend on numpy's
+    summation order.
+    """
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    best = envelope[np.searchsorted(recall, RECALL_POINTS, side="left")]
     ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        best = 0.0
-        for rec, prec in points:
-            if rec >= r and prec > best:
-                best = prec
-        ap += best
+    for value in best.tolist():
+        ap += value
     return ap / 101.0
 
 
-def _class_ap(image_dets, image_gts, class_id, threshold):
-    scored = []
+def _class_ap(image_dets, image_gts, class_id):
+    """AP of one class at each of IOU_THRESHOLDS; None when it has no ground truth.
+
+    Within an image, detections are matched by descending score (ties by
+    lower anchor index) to the unmatched ground truth of highest IoU at or
+    above the threshold (the first one on ties). One IoU matrix per image
+    serves every threshold. Detections from all images are then ranked by
+    score, image, and in-image rank.
+    """
+    thresholds = np.array(IOU_THRESHOLDS)[:, None]
+    scores, images, ranks, hits = [], [], [], []
     n_gt = 0
     for img, (dets, gts) in enumerate(zip(image_dets, image_gts)):
-        gt_boxes = [b.as_array() for b, cls in gts if cls == class_id]
+        gt_boxes = _box_array(b for b, cls in gts if cls == class_id)
         n_gt += len(gt_boxes)
-        cls_dets = sorted(
-            (d for d in dets if d.class_id == class_id),
-            key=lambda d: (-d.score, d.anchor_index),
-        )
-        taken = [False] * len(gt_boxes)
-        for rank, det in enumerate(cls_dets):
-            hit = False
-            if gt_boxes:
-                ious = pairwise_iou(det.box.as_array()[None, :], np.stack(gt_boxes))[0]
-                free = [g for g in range(len(gt_boxes)) if not taken[g] and ious[g] >= threshold]
-                if free:
-                    best = max(free, key=lambda g: (ious[g], -g))
-                    taken[best] = True
-                    hit = True
-            scored.append((det.score, img, rank, hit))
+        cls_dets = [d for d in dets if d.class_id == class_id]
+        if not cls_dets:
+            continue
+        det_scores = np.array([d.score for d in cls_dets], dtype=np.float64)
+        order = np.lexsort((np.array([d.anchor_index for d in cls_dets], dtype=np.int64),
+                            -det_scores))
+        hit = np.zeros((thresholds.size, order.size), dtype=bool)
+        if len(gt_boxes):
+            ious = pairwise_iou(_box_array(cls_dets[k].box for k in order), gt_boxes)
+            taken = np.zeros((thresholds.size, len(gt_boxes)), dtype=bool)
+            for rank in np.flatnonzero(ious.max(axis=1) >= thresholds.min()):
+                free = ~taken & (ious[rank] >= thresholds)
+                best = np.where(free, ious[rank], -1.0).argmax(axis=1)
+                matched = np.flatnonzero(free.any(axis=1))
+                taken[matched, best[matched]] = True
+                hit[matched, rank] = True
+        scores.append(det_scores[order])
+        images.append(np.full(order.size, img))
+        ranks.append(np.arange(order.size))
+        hits.append(hit)
     if n_gt == 0:
         return None
-    scored.sort(key=lambda r: (-r[0], r[1], r[2]))
-    tp = fp = 0
-    points = []
-    for _, _, _, hit in scored:
-        if hit:
-            tp += 1
-        else:
-            fp += 1
-        points.append((tp / n_gt, tp / (tp + fp)))
-    return _interpolated_ap(points)
+    if not scores:
+        return [0.0] * thresholds.size
+    ranked = np.lexsort((np.concatenate(ranks), np.concatenate(images),
+                         -np.concatenate(scores)))
+    tp = np.cumsum(np.concatenate(hits, axis=1)[:, ranked], axis=1)
+    seen = np.arange(1, ranked.size + 1)
+    return [_interpolated_ap(row / n_gt, row / seen) for row in tp]
 
 
 def average_precision(image_dets, image_gts):
     """(ap50, ap averaged over IOU_THRESHOLDS), class-averaged; None without GT.
 
-    Every class averaged has ground truth, so each _class_ap is a number;
-    AP50 is the sweep's first entry, since IOU_THRESHOLDS starts at 0.5.
+    Every class averaged has ground truth, so each _class_ap is a list of
+    numbers; AP50 is its first entry, since IOU_THRESHOLDS starts at 0.5.
     """
     classes = sorted({cls for gts in image_gts for _, cls in gts})
     if not classes:
@@ -233,7 +246,7 @@ def average_precision(image_dets, image_gts):
     ap50_per_class = []
     ap_per_class = []
     for c in classes:
-        per_threshold = [_class_ap(image_dets, image_gts, c, t) for t in IOU_THRESHOLDS]
+        per_threshold = _class_ap(image_dets, image_gts, c)
         ap50_per_class.append(per_threshold[0])
         ap_per_class.append(float(np.mean(per_threshold)))
     return float(np.mean(ap50_per_class)), float(np.mean(ap_per_class))

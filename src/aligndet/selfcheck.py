@@ -31,6 +31,7 @@ from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
 
 def _check_cfg(seed=0):
+    """The tiny model the gradient checks run on (acceptance c2 and c8 too)."""
     return ModelConfig(
         image_size=16,
         num_classes=2,

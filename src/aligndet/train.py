@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,23 +150,51 @@ PAYLOAD_NAME = "params.bin"
 
 
 def save_checkpoint(params, path, step=0, config=None):
-    """Write a checkpoint directory: text manifest + concatenated tensors."""
-    os.makedirs(path, exist_ok=True)
-    blobs = []
+    """Write a checkpoint directory: text manifest + concatenated tensors.
+
+    The files are written into a fresh directory beside ``path``, which is
+    then renamed into place; an existing checkpoint at ``path`` is first
+    renamed aside and removed once the new one is in. An exception while
+    writing leaves the old checkpoint untouched and no temporary directory
+    behind. A process killed between the two renames leaves no directory at
+    ``path`` and the old checkpoint under a ``.old-`` name beside it, never
+    a partly written checkpoint at ``path``.
+    """
+    path = os.path.abspath(path)
+    parent, base = os.path.split(path)
+    os.makedirs(parent, exist_ok=True)
+    staging = os.path.join(parent, f".{base}.tmp-{uuid.uuid4().hex}")
+    os.mkdir(staging)
+    aside = None
+    try:
+        _write_checkpoint_files(params, staging, step, config)
+        if os.path.isdir(path):
+            aside = os.path.join(parent, f".{base}.old-{uuid.uuid4().hex}")
+            os.rename(path, aside)
+        os.rename(staging, path)
+    except BaseException:
+        if aside is not None and not os.path.exists(path):
+            os.rename(aside, path)
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if aside is not None:
+        shutil.rmtree(aside)
+
+
+def _write_checkpoint_files(params, path, step, config):
     lines = [f"step {int(step)}"]
     if config is not None:
         lines.append("config " + (config.to_json() if isinstance(config, ModelConfig) else str(config)))
     offset = 0
-    for name, p in params.items():
-        blob = tensor_to_bytes(p.data)
-        dims = ",".join(str(d) for d in p.shape) if p.shape else "scalar"
-        lines.append(f"param {name} {dims} {offset}")
-        blobs.append(blob)
-        offset += len(blob)
+    with open(os.path.join(path, PAYLOAD_NAME), "wb") as f:
+        for name, p in params.items():
+            blob = tensor_to_bytes(p.data)
+            dims = ",".join(str(d) for d in p.shape) if p.shape else "scalar"
+            lines.append(f"param {name} {dims} {offset}")
+            f.write(blob)
+            offset += len(blob)
     with open(os.path.join(path, MANIFEST_NAME), "w") as f:
         f.write("\n".join(lines) + "\n")
-    with open(os.path.join(path, PAYLOAD_NAME), "wb") as f:
-        f.write(b"".join(blobs))
 
 
 def load_checkpoint(path):

@@ -2,13 +2,16 @@
 
 Everything here is written against the documented behavior, in plain
 Python loops, with none of the library's vectorized code paths. Test files
-compare library output against these.
+compare library output against these. The detection oracles (NMS, box
+census, AP) take each IoU from the library's pairwise_iou on one box at a
+time, so the vectorized code must match them with ==, not approximately.
 """
 
 import math
 
 import numpy as np
 
+from aligndet.geometry import iou, pairwise_iou
 
 
 def bilinear_sample_reference(feature_map, i, j, c):
@@ -55,6 +58,115 @@ def recompute_losses_from_rows(rows, gamma=2.0):
     return pos_sum / norm, neg_sum / norm, reg_sum / norm
 
 
+def nms_reference(detections, iou_threshold=0.6):
+    """Greedy class-wise NMS, one scalar IoU per (kept, candidate) pair.
+
+    Visits candidates by descending score, then lower anchor index, then
+    input order; keeps one unless an already-kept detection of its class
+    overlaps it at IoU strictly above the threshold.
+    """
+    order = sorted(
+        range(len(detections)),
+        key=lambda k: (-detections[k].score, detections[k].anchor_index, k),
+    )
+    kept = []
+    for k in order:
+        det = detections[k]
+        suppressed = False
+        for other in kept:
+            if other.class_id != det.class_id:
+                continue
+            if iou(other.box, det.box) > iou_threshold:
+                suppressed = True
+                break
+        if not suppressed:
+            kept.append(det)
+    return kept
+
+
+def box_census_reference(detections, instances):
+    """(n_correct, n_redundant, n_error), one detection at a time by score."""
+    matched = [False] * len(instances)
+    n_correct = n_redundant = n_error = 0
+    order = sorted(
+        range(len(detections)),
+        key=lambda k: (-detections[k].score, detections[k].anchor_index, k),
+    )
+    gt_arr = np.stack([b.as_array() for b, _ in instances]) if instances else None
+    for k in order:
+        det = detections[k]
+        if gt_arr is None:
+            break
+        same = [n for n, (_, cls) in enumerate(instances) if cls == det.class_id]
+        if not same:
+            continue
+        ious = pairwise_iou(det.box.as_array()[None, :], gt_arr[same])[0]
+        best = int(np.argmax(ious))
+        best_iou = float(ious[best])
+        if best_iou >= 0.5:
+            if matched[same[best]]:
+                n_redundant += 1
+            else:
+                matched[same[best]] = True
+                n_correct += 1
+        elif 0.1 < best_iou < 0.5:
+            n_error += 1
+    return n_correct, n_redundant, n_error
+
+
+def interpolated_ap_reference(points):
+    """101-point interpolated AP from cumulative (recall, precision) pairs."""
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        best = 0.0
+        for rec, prec in points:
+            if rec >= r and prec > best:
+                best = prec
+        ap += best
+    return ap / 101.0
+
+
+def class_ap_reference(image_dets, image_gts, class_id, threshold):
+    """AP of one class at one IoU threshold; None when it has no ground truth.
+
+    Per image, detections go by descending score (ties: lower anchor index)
+    to the unmatched ground truth of highest IoU at or above the threshold
+    (ties: lower index); all images are then ranked by (score, image, rank).
+    """
+    scored = []
+    n_gt = 0
+    for img, (dets, gts) in enumerate(zip(image_dets, image_gts)):
+        gt_boxes = [b.as_array() for b, cls in gts if cls == class_id]
+        n_gt += len(gt_boxes)
+        cls_dets = sorted(
+            (d for d in dets if d.class_id == class_id),
+            key=lambda d: (-d.score, d.anchor_index),
+        )
+        taken = [False] * len(gt_boxes)
+        for rank, det in enumerate(cls_dets):
+            hit = False
+            if gt_boxes:
+                ious = pairwise_iou(det.box.as_array()[None, :], np.stack(gt_boxes))[0]
+                free = [g for g in range(len(gt_boxes)) if not taken[g] and ious[g] >= threshold]
+                if free:
+                    best = max(free, key=lambda g: (ious[g], -g))
+                    taken[best] = True
+                    hit = True
+            scored.append((det.score, img, rank, hit))
+    if n_gt == 0:
+        return None
+    scored.sort(key=lambda r: (-r[0], r[1], r[2]))
+    tp = fp = 0
+    points = []
+    for _, _, _, hit in scored:
+        if hit:
+            tp += 1
+        else:
+            fp += 1
+        points.append((tp / n_gt, tp / (tp + fp)))
+    return interpolated_ap_reference(points)
+
+
 def average_precision_reference(scored_matches, n_gt):
     """101-point interpolated AP from (score, is_match) pairs.
 
@@ -72,8 +184,4 @@ def average_precision_reference(scored_matches, n_gt):
         else:
             fp += 1
         points.append((tp / n_gt, tp / (tp + fp)))
-    ap = 0.0
-    for r in np.linspace(0, 1, 101):
-        precisions = [p for rec, p in points if rec >= r]
-        ap += max(precisions) if precisions else 0.0
-    return ap / 101
+    return interpolated_ap_reference(points)

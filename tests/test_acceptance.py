@@ -281,17 +281,7 @@ def _perturbed_model(cfg, seed, scale):
 def test_c2_equation_identities():
     failures = []
     configs = [
-        ModelConfig(
-            image_size=16,
-            num_classes=2,
-            backbone_channels=(4, 4, 8, 8),
-            backbone_strides=(2, 2, 2, 1),
-            channels=8,
-            num_layers=2,
-            attention_ratio=4,
-            align_channels=4,
-            seed=5,
-        ),
+        selfcheck._check_cfg(seed=5),
         ModelConfig(image_size=32, num_classes=3, seed=6),
     ]
     gap_seen = 0.0
@@ -668,17 +658,7 @@ def test_c8_format_roundtrips(tmp_path):
         if fa.read() != fb.read():
             failures.append("dataset bytes changed across a round trip")
 
-    cfg = ModelConfig(
-        image_size=16,
-        num_classes=2,
-        backbone_channels=(4, 4, 8, 8),
-        backbone_strides=(2, 2, 2, 1),
-        channels=8,
-        num_layers=2,
-        attention_ratio=4,
-        align_channels=4,
-        seed=11,
-    )
+    cfg = selfcheck._check_cfg(seed=11)
     params, _ = build_model(cfg)
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(params, ckpt, step=12, config=cfg)

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle_utils import average_precision_reference
+from oracle_utils import (
+    average_precision_reference,
+    box_census_reference,
+    class_ap_reference,
+    nms_reference,
+)
 
+from aligndet import geometry
 from aligndet.assignment import AnchorGrid
 from aligndet.errors import ShapeError
-from aligndet.geometry import Box, Detection
+from aligndet.geometry import Box, Detection, nms
 from aligndet.metrics import (
+    IOU_THRESHOLDS,
     AlignmentReport,
+    _class_ap,
     _ranks,
     alignment_analysis,
     average_precision,
@@ -306,6 +314,103 @@ class TestDetectionsFromOutputs:
         dets = detections_from_outputs(p, np.ones((2, 2, 4)), self.grid,
                                        nms_iou=1.0, max_detections=5)
         assert len(dets) == 5
+
+
+# Small integer boxes make IoUs such as 1/2, 3/5 and 3/4 exact, so they land
+# exactly on the NMS and AP thresholds; few scores and anchors force ties.
+@st.composite
+def grid_detections(draw, max_size=24, classes=3):
+    dets = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x, y = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        cls = draw(st.integers(0, classes - 1))
+        score = draw(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.05, 1.0))
+        dets.append(Detection(Box(x, y, x + w, y + h, class_id=cls), score, cls,
+                              draw(st.integers(0, 3))))
+    return dets
+
+
+@st.composite
+def grid_instances(draw, max_size=4, classes=3):
+    gts = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x, y = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        cls = draw(st.integers(0, classes - 1))
+        gts.append((Box(x, y, x + w, y + h, class_id=cls), cls))
+    return gts
+
+
+nms_thresholds = st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.6, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+def ids(dets):
+    return [id(d) for d in dets]
+
+
+class TestAgainstScalarOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_detections(), nms_thresholds, st.none() | st.integers(0, 12))
+    def test_nms_matches_scalar_greedy(self, dets, threshold, limit):
+        full = nms(dets, threshold)
+        assert ids(full) == ids(nms_reference(dets, threshold))
+        assert ids(nms(dets, threshold, max_detections=limit)) == ids(full[:limit])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(grid_detections(max_size=12), grid_instances()), max_size=4))
+    # two ground truths at IoU 0.5 from one detection: the lower index is taken
+    @example([([det(0, 0, 2, 1, 0.9), det(0, 0, 1, 1, 0.8)],
+               [(Box(0, 0, 1, 1), 0), (Box(1, 0, 2, 1), 0)])])
+    # equal scores in one image: the lower anchor index is matched first
+    @example([([det(5, 5, 6, 6, 0.5, anchor=1), det(0, 0, 2, 2, 0.5, anchor=0)],
+               [(Box(0, 0, 2, 2), 0)])])
+    def test_ap_matches_scalar_bit_for_bit(self, images):
+        image_dets = [d for d, _ in images]
+        image_gts = [g for _, g in images]
+        classes = sorted({cls for gts in image_gts for _, cls in gts})
+        per_class = [
+            [class_ap_reference(image_dets, image_gts, c, t) for t in IOU_THRESHOLDS]
+            for c in classes
+        ]
+        for c, want in zip(classes, per_class):
+            assert _class_ap(image_dets, image_gts, c) == want
+        want = (None, None)
+        if classes:
+            want = (float(np.mean([p[0] for p in per_class])),
+                    float(np.mean([float(np.mean(p)) for p in per_class])))
+        assert average_precision(image_dets, image_gts) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_detections(), grid_instances())
+    # two ground truths at IoU 0.5: the first is the one matched
+    @example([det(0, 0, 2, 1, 0.9), det(0, 0, 1, 1, 0.8)],
+             [(Box(0, 0, 1, 1), 0), (Box(1, 0, 2, 1), 0)])
+    def test_census_matches_scalar(self, dets, gts):
+        assert box_census(dets, gts) == box_census_reference(dets, gts)
+
+
+class TestBoundedCost:
+    def test_every_candidate_clears_the_floor(self, monkeypatch):
+        # 16x16 anchors x 3 classes, boxes inside their own cells: no two
+        # overlap, so greedy NMS keeps all 768 and eval wants the first 100
+        grid = AnchorGrid(height=16, width=16, stride=8)
+        p = np.linspace(0.9, 0.1, 768).reshape(16, 16, 3)
+        b = np.full((16, 16, 4), 0.4)
+        rows = []
+        pairwise_iou = geometry.pairwise_iou
+
+        def counting_pairwise_iou(a, b):
+            rows.append(len(np.atleast_2d(a)))
+            return pairwise_iou(a, b)
+
+        monkeypatch.setattr(geometry, "pairwise_iou", counting_pairwise_iou)
+        dets = detections_from_outputs(p, b, grid, max_detections=100)
+        assert len(dets) == 100
+        assert [(d.anchor_index, d.class_id) for d in dets] == [
+            divmod(k, 3) for k in range(100)
+        ]
+        assert len(rows) <= 100 and set(rows) <= {1}
 
 
 class TestEvaluateDataset:

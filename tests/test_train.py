@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,63 @@ class TestCheckpoint:
     def test_not_a_checkpoint(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nothing_here")
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        params = init_model_params(cfg)
+        path = tmp_path / "ckpt"
+        save_checkpoint(params, path, step=3, config=cfg)
+        before = {name: (path / name).read_bytes() for name in ("manifest.txt", "params.bin")}
+        written = []
+
+        class HalfWrittenPayload:
+            # writes the payload up to half its size, then fails like a full disk
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                room = len(before["params.bin"]) // 2 - sum(written)
+                if len(data) > room:
+                    self.f.write(data[:room])
+                    written.append(room)
+                    raise OSError("disk full")
+                written.append(len(data))
+                return self.f.write(data)
+
+        def open_with_failing_payload(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if os.path.basename(file) == "params.bin" and "w" in mode:
+                return HalfWrittenPayload(f)
+            return f
+
+        monkeypatch.setattr("aligndet.train.open", open_with_failing_payload, raising=False)
+        changed = {name: Tensor(p.data + 1.0) for name, p in params.items()}
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(changed, path, step=4, config=cfg)
+        assert sum(written) == len(before["params.bin"]) // 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        assert {name: (path / name).read_bytes() for name in before} == before
+        loaded, step, _ = load_checkpoint(path)
+        assert step == 3
+        for name in params:
+            assert np.array_equal(loaded[name].data, params[name].data)
+
+    def test_overwrite_replaces_checkpoint(self, tmp_path):
+        cfg = tiny_cfg()
+        params = init_model_params(cfg)
+        path = tmp_path / "ckpt"
+        save_checkpoint(params, path, step=3, config=cfg)
+        changed = {name: Tensor(p.data + 1.0) for name, p in params.items()}
+        save_checkpoint(changed, path, step=4, config=cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        assert sorted(p.name for p in path.iterdir()) == ["manifest.txt", "params.bin"]
+        loaded, step, _ = load_checkpoint(path)
+        assert step == 4
+        for name in params:
+            assert np.array_equal(loaded[name].data, changed[name].data)
