@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -7,7 +8,13 @@ from aligndet import tensor as T
 from aligndet.errors import CheckpointError, ConfigError, TrainingError
 from aligndet.losses import total_loss
 from aligndet.model import ModelConfig, build_model, init_model_params
-from aligndet.scenes import DatasetConfig, SplitMix64, make_dataset, write_dataset
+from aligndet.scenes import (
+    DatasetConfig,
+    SplitMix64,
+    make_dataset,
+    train_seeds,
+    write_dataset,
+)
 from aligndet.tensor import Tensor
 from aligndet.train import (
     OptState,
@@ -47,6 +54,76 @@ def tiny_dataset(tmp_path, n=4, seed0=0, size=32):
     path = tmp_path / "scenes.tdset"
     write_dataset(records, path)
     return path, records
+
+
+TRAJECTORY_PIN = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "float64_trajectory.json"
+)
+LOSS_KEYS = ("cls_pos", "cls_neg", "reg", "total")
+
+
+def float64_trajectory(steps=20, scenes=64, batch=8, seed=0, reverse_batches=False):
+    """Train the default model in float64 and return what the pin records.
+
+    The parameters are cast to float64 after ``build_model``; nothing else
+    changes. Batches are drawn round-robin as ``train`` draws them.
+    ``reverse_batches`` flips the image order inside each batch, a pure
+    summation reorder, to measure how far rounding alone moves the result.
+    Returns (per-step loss rows, {param name: [sum, L2 norm]} after the last
+    step).
+    """
+    cfg = ModelConfig(seed=seed, batch_size=batch)
+    records = make_dataset(train_seeds(scenes), DatasetConfig())
+    params, forward = build_model(cfg)
+    for p in params.values():
+        p.data = p.data.astype(np.float64)
+    state = OptState()
+    rows = []
+    for step in range(steps):
+        batch_records = [records[(step * batch + k) % scenes] for k in range(batch)]
+        if reverse_batches:
+            batch_records.reverse()
+        losses = train_step(batch_records, params, forward, state, cfg)
+        rows.append([losses[k] for k in LOSS_KEYS])
+    stats = {
+        name: [float(p.data.sum()), float(np.sqrt(np.sum(p.data * p.data)))]
+        for name, p in params.items()
+    }
+    return rows, stats
+
+
+class TestFloat64Trajectory:
+    def test_matches_pin(self):
+        """20 float64 steps of the default model stay on the pinned path.
+
+        Float32 training is chaotic, so its checkpoints cannot tell a
+        reordered sum from a changed function; in float64 the rounding
+        noise stays near 1e-15 over these steps (see the pin's sizing), far
+        below the relative tolerance. The pin is read, never written: a
+        missing file fails the test.
+        """
+        if not os.path.exists(TRAJECTORY_PIN):
+            pytest.fail(f"trajectory pin {TRAJECTORY_PIN} is missing")
+        with open(TRAJECTORY_PIN) as f:
+            pin = json.load(f)
+        rtol = pin["rtol"]
+        rows, stats = float64_trajectory(
+            steps=pin["steps"], scenes=pin["scenes"], batch=pin["batch"], seed=pin["seed"]
+        )
+        failures = []
+        for step, (got, want) in enumerate(zip(rows, pin["losses"])):
+            for key, g, w in zip(LOSS_KEYS, got, want):
+                if abs(g - w) > rtol * abs(w):
+                    failures.append(f"step {step} {key}: {g!r} against {w!r}")
+        assert sorted(stats) == sorted(pin["params"])
+        for name, (total, norm) in stats.items():
+            want_sum, want_norm = pin["params"][name]
+            if abs(norm - want_norm) > rtol * want_norm:
+                failures.append(f"{name} norm: {norm!r} against {want_norm!r}")
+            # a sum near zero is scaled by the norm, so cancellation cannot trip it
+            if abs(total - want_sum) > rtol * max(abs(want_sum), want_norm):
+                failures.append(f"{name} sum: {total!r} against {want_sum!r}")
+        assert not failures, "; ".join(failures[:6])
 
 
 class TestConfig:
