@@ -157,6 +157,98 @@ class TestRegLoss:
         assert err < 1e-3
 
 
+
+def loss_grads(scores, dists, assignment, instances, stride=1):
+    """Backward through total_loss on float64 maps of one 1x1 grid."""
+    p = Tensor(np.asarray(scores, dtype=np.float64).reshape(1, 1, -1))
+    b = Tensor(np.asarray(dists, dtype=np.float64).reshape(1, 1, 4))
+    grid = AnchorGrid(height=1, width=1, stride=stride)
+    breakdown = total_loss(p, b, assignment, instances, grid)
+    breakdown.total.backward()
+    p_grad = np.zeros(p.shape) if p.grad is None else p.grad
+    b_grad = np.zeros(b.shape) if b.grad is None else b.grad
+    return breakdown.values(), p_grad.reshape(-1), b_grad.reshape(-1)
+
+
+class TestSubgradients:
+    """The rules the loss gradient follows at its kinks and clamps.
+
+    Random fixtures never land on these points. Each expected value is
+    derived by hand from the rule named in the test.
+    """
+
+    LOG_CLAMP = -math.log(1e-12)
+
+    def test_clamped_log_of_positive_has_no_gradient(self):
+        # s = 0 clamps log(s), whose slope t / s would be unbounded: the
+        # focal slope -2 t * bce (bce = t * -log(1e-12)) and the log(1 - s)
+        # slope t^2 * (1 - t) remain
+        t = 0.6
+        _, gp, _ = loss_grads([0.0], [0.5] * 4, single_anchor_assignment(t), [])
+        assert gp[0] == pytest.approx(-2 * t * t * self.LOG_CLAMP + t * t * (1 - t), rel=1e-12)
+        # s = 1 clamps log(1 - s): the log(s) slope -t/s * focal remains
+        _, gp, _ = loss_grads([1.0], [0.5] * 4, single_anchor_assignment(t), [])
+        bce = (1 - t) * self.LOG_CLAMP
+        want = (1 - t) ** 2 * -t + 2 * (1 - t) * bce
+        assert gp[0] == pytest.approx(want, rel=1e-12)
+
+    def test_clamped_log_of_negative_has_no_gradient(self):
+        # s = 1 on a negative: s^2 * -log(1e-12), slope 2 s * -log(1e-12)
+        values, gp, _ = loss_grads([1.0, 0.0], [0.5] * 4, all_negative(1), [])
+        assert values["cls_neg"] == pytest.approx(self.LOG_CLAMP, rel=1e-12)
+        assert gp[0] == pytest.approx(2 * self.LOG_CLAMP, rel=1e-12)
+        assert gp[1] == 0.0
+
+    def test_score_at_label_has_zero_gradient(self):
+        # |t - s|^gamma has slope 0 at s == t, and it scales both log slopes
+        for t in (0.3, 0.73, 1.0):
+            values, gp, _ = loss_grads([t], [0.5] * 4, single_anchor_assignment(t), [])
+            assert values["cls_pos"] == 0.0
+            assert gp[0] == 0.0
+
+    def test_disjoint_boxes_have_no_intersection_gradient(self):
+        # decoded [0,0,1,1] against [2,2,3,3]: relu(1 - 2) = 0, so only
+        # union / hull moves: loss w * (2 - union / hull), union 2, hull 9
+        w = 0.5
+        values, _, gb = loss_grads(
+            [0.0], [0.5] * 4, single_anchor_assignment(w), [(Box(2, 2, 3, 3, class_id=0), 0)]
+        )
+        assert values["reg"] == pytest.approx(w * (2 - 2 / 9), rel=1e-12)
+        np.testing.assert_allclose(gb, [-w / 27, -w / 27, -w / 9, -w / 9], rtol=1e-12)
+
+    def test_touching_boxes_have_no_intersection_gradient(self):
+        # [0,0,1,1] against [1,0.25,2,0.75]: the overlap width is exactly 0,
+        # where relu passes no gradient, so d(inter)/dr = 0.5 must not leak
+        w = 0.5
+        values, _, gb = loss_grads(
+            [0.0], [0.5] * 4, single_anchor_assignment(w),
+            [(Box(1, 0.25, 2, 0.75, class_id=0), 0)],
+        )
+        assert values["reg"] == pytest.approx(w * 1.25, rel=1e-12)
+        np.testing.assert_allclose(gb, [-w / 8, w / 4, -w / 2, w / 4], rtol=1e-12)
+
+    def test_min_max_ties_route_to_prediction(self):
+        # [0,0,1,1] against [0,0,2,2]: x1 == gx1 and y1 == gy1 tie in both
+        # the intersection's max and the hull's min; both pass the gradient
+        # to the predicted edge (routing to the target gives -3w/16 instead)
+        w = 0.5
+        values, _, gb = loss_grads(
+            [0.0], [0.5] * 4, single_anchor_assignment(w), [(Box(0, 0, 2, 2, class_id=0), 0)]
+        )
+        assert values["reg"] == pytest.approx(w * 0.75, rel=1e-12)
+        np.testing.assert_allclose(gb, [w / 4, w / 4, -w / 4, -w / 4], rtol=1e-12)
+
+    def test_box_equal_to_target_has_zero_loss_and_gradient(self):
+        # every min and max ties; GIoU = 1 is a minimum, the slope is 0
+        for stride in (1, 8):
+            values, _, gb = loss_grads(
+                [0.0], [0.5] * 4, single_anchor_assignment(0.8),
+                [(Box(0, 0, stride, stride, class_id=0), 0)], stride=stride,
+            )
+            assert values["reg"] == 0.0
+            assert np.all(gb == 0.0)
+
+
 class TestTotalLoss:
     def test_additive_breakdown(self):
         instances, p, b, grid = random_fixture(4)
