@@ -10,7 +10,8 @@ from aligndet.tensor import Tensor, grad_check
 
 print("== scalar chain rule ==")
 x = Tensor(np.array(3.0, dtype=np.float64))
-y = T.tensor_sum(T.power(T.add(T.mul(x, 2.0), 1.0), 2.0))   # (2x+1)^2
+u = T.add(T.mul(x, 2.0), 1.0)                               # 2x+1
+y = T.tensor_sum(T.mul(u, u))                               # (2x+1)^2
 y.backward()
 print(f"d/dx (2x+1)^2 at x=3: {x.grad}  (expected {4 * (2 * 3 + 1)})")
 

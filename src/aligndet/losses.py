@@ -43,82 +43,32 @@ def _normalizer(assignment):
     return max(1.0, float(assignment.t_hat[assignment.is_positive].sum()))
 
 
-def cls_loss(p_align, assignment, gamma=GAMMA):
-    """Focal-weighted BCE against the soft labels; returns (pos, neg) terms.
+def total_loss(p_align, b_align, assignment, instances, grid, gamma=GAMMA):
+    """Classification plus localization at equal unit weights.
 
-    Positives contribute |t_hat - s|^gamma * BCE(s, t_hat) at the matched
-    class channel only; every other (anchor, class) entry is a negative
-    contributing s^gamma * BCE(s, 0) = s^gamma * -log(1-s).
+    Classification is split into its positive and negative terms
+    (:func:`tensor.focal_bce`); localization is :func:`tensor.giou_loss` over
+    the positives, zero when there are none.
     """
+    norm = 1.0 / _normalizer(assignment)
     h, w, k = p_align.shape
-    n = h * w
     dtype = p_align.dtype
-    pos_mask = np.zeros((n, k), dtype=dtype)
-    target = np.zeros((n, k), dtype=dtype)
     pos = np.flatnonzero(assignment.is_positive)
+    pos_mask = np.zeros((h * w, k), dtype=dtype)
+    target = np.zeros((h * w, k), dtype=dtype)
     pos_mask[pos, assignment.matched_class[pos]] = 1.0
     target[pos, assignment.matched_class[pos]] = assignment.t_hat[pos]
-    pos_mask = Tensor(pos_mask.reshape(h, w, k))
-    target = Tensor(target.reshape(h, w, k))
-    neg_mask = Tensor(1.0 - pos_mask.data)
-
-    s = p_align
-    one_minus_s = T.sub(1.0, s)
-    log_s = T.log(s)
-    log_1ms = T.log(one_minus_s)
-    bce_pos = T.sub(0.0, T.add(T.mul(target, log_s), T.mul(T.sub(1.0, target), log_1ms)))
-    focal_pos = T.power(T.absolute(T.sub(target, s)), gamma)
-    pos_sum = T.tensor_sum(T.mul(pos_mask, T.mul(focal_pos, bce_pos)))
-    # negative target is 0, so BCE reduces to -log(1-s)
-    neg_sum = T.tensor_sum(T.mul(neg_mask, T.mul(T.power(s, gamma), T.sub(0.0, log_1ms))))
-    norm = 1.0 / _normalizer(assignment)
-    return T.mul(pos_sum, norm), T.mul(neg_sum, norm)
-
-
-def _giou_vec(px, py, dists, gt, stride):
-    """Differentiable GIoU between decoded boxes and fixed targets, [P]."""
-    dtype = dists.dtype
-    px = Tensor(np.asarray(px, dtype=dtype))
-    py = Tensor(np.asarray(py, dtype=dtype))
-    scaled = T.mul(dists, float(stride))
-    x1 = T.sub(px, T.take_channel(scaled, 0))
-    y1 = T.sub(py, T.take_channel(scaled, 1))
-    x2 = T.add(px, T.take_channel(scaled, 2))
-    y2 = T.add(py, T.take_channel(scaled, 3))
-    g = np.asarray(gt, dtype=dtype)
-    gx1, gy1, gx2, gy2 = (Tensor(g[:, i]) for i in range(4))
-
-    iw = T.relu(T.sub(T.minimum(x2, gx2), T.maximum(x1, gx1)))
-    ih = T.relu(T.sub(T.minimum(y2, gy2), T.maximum(y1, gy1)))
-    inter = T.mul(iw, ih)
-    area_p = T.mul(T.sub(x2, x1), T.sub(y2, y1))
-    area_g = (g[:, 2] - g[:, 0]) * (g[:, 3] - g[:, 1])
-    union = T.sub(T.add(area_p, Tensor(area_g)), inter)
-    iou = T.div(inter, union)
-    hw = T.sub(T.maximum(x2, gx2), T.minimum(x1, gx1))
-    hh = T.sub(T.maximum(y2, gy2), T.minimum(y1, gy1))
-    hull = T.mul(hw, hh)
-    return T.sub(iou, T.div(T.sub(hull, union), hull))
-
-
-def reg_loss(b_align, assignment, instances, grid):
-    """Sum over positives of t_hat * (1 - GIoU(decoded box, instance box))."""
-    pos = np.flatnonzero(assignment.is_positive)
+    pos_term, neg_term = T.focal_bce(
+        p_align, target.reshape(h, w, k), pos_mask.reshape(h, w, k), gamma, norm
+    )
     if pos.size == 0 or not instances:
-        return Tensor(np.zeros((), dtype=b_align.dtype))
-    xs, ys = grid.points()
-    dists = T.gather_rows(b_align, pos)
-    gt_all = np.stack([b.as_array() for b, _ in instances])
-    gt = gt_all[assignment.instance_index[pos]]
-    giou = _giou_vec(xs[pos], ys[pos], dists, gt, grid.stride)
-    weights = Tensor(assignment.t_hat[pos].astype(b_align.dtype))
-    loss = T.tensor_sum(T.mul(weights, T.sub(1.0, giou)))
-    return T.mul(loss, 1.0 / _normalizer(assignment))
-
-
-def total_loss(p_align, b_align, assignment, instances, grid, gamma=GAMMA):
-    """Classification plus localization at equal unit weights."""
-    pos_term, neg_term = cls_loss(p_align, assignment, gamma=gamma)
-    reg_term = reg_loss(b_align, assignment, instances, grid)
+        reg_term = Tensor(np.zeros((), dtype=b_align.dtype))
+    else:
+        xs, ys = grid.points()
+        gt = np.stack([b.as_array() for b, _ in instances])[assignment.instance_index[pos]]
+        reg_term = T.giou_loss(
+            b_align, pos, np.stack([xs[pos], ys[pos]], axis=1), gt,
+            assignment.t_hat[pos], grid.stride, norm,
+        )
     total = T.add(T.add(pos_term, neg_term), reg_term)
     return LossBreakdown(cls_pos=pos_term, cls_neg=neg_term, reg=reg_term, total=total)

@@ -7,8 +7,8 @@ operation that produced them, so calling :meth:`Tensor.backward` on a scalar
 output fills ``grad`` on every reachable leaf.
 
 All forward ops are deterministic (fixed numpy reduction order), and every
-op keeps finite inputs finite: ``sqrt`` and ``log`` clamp their arguments
-away from zero rather than emitting inf/NaN.
+op keeps finite inputs finite: ``sqrt`` and the two logs of ``focal_bce``
+clamp their arguments away from zero rather than emitting inf/NaN.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .errors import FormatError, GraphError, ShapeError
 # sqrt inputs are clamped here so the gradient of sqrt(P*M) stays bounded
 # as the product approaches zero.
 SQRT_EPS = 1e-9
-# log inputs are clamped so BCE on saturated float32 probabilities stays finite.
+# focal_bce's log inputs are clamped so BCE on saturated float32 probabilities
+# stays finite.
 LOG_EPS = 1e-12
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -88,32 +89,6 @@ class Tensor:
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -158,11 +133,6 @@ def add(a, b):
     return _node(data, (a, b), backward_fn)
 
 
-def sub(a, b):
-    b = _lift(b, a.dtype if isinstance(a, Tensor) else np.float32)
-    return add(a, mul(b, -1.0))
-
-
 def mul(a, b):
     """Elementwise product.
 
@@ -200,58 +170,12 @@ def _reduce_to(g, shape):
     return g.sum(axis=-1, keepdims=True)
 
 
-def div(a, b):
-    """Elementwise quotient; the caller guarantees a nonzero denominator."""
-    a = _lift(a, np.float32)
-    b = _lift(b, a.dtype)
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not conform")
-    data = a.data / b.data
-
-    def backward_fn(g):
-        _accum(a, _reduce_to(g / b.data, a.shape))
-        _accum(b, _reduce_to(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(data, (a, b), backward_fn)
-
-
-def power(a, exponent):
-    """a ** exponent for a scalar exponent.
-
-    The base is expected to be non-negative for non-integer exponents.
-    Gradient at exactly 0 with exponent < 1 is defined as 0.
-    """
-    a = _lift(a, np.float32)
-    c = float(exponent)
-    data = np.power(a.data, c)
-
-    def backward_fn(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = c * np.power(a.data, c - 1.0)
-        d = np.where(np.isfinite(d), d, 0.0)
-        _accum(a, g * d)
-
-    return _node(data, (a,), backward_fn)
-
-
 def exp(a):
     a = _lift(a, np.float32)
     data = np.exp(a.data)
 
     def backward_fn(g):
         _accum(a, g * data)
-
-    return _node(data, (a,), backward_fn)
-
-
-def log(a):
-    """Natural log; the argument is clamped to >= LOG_EPS."""
-    a = _lift(a, np.float32)
-    clamped = np.maximum(a.data, LOG_EPS)
-    data = np.log(clamped)
-
-    def backward_fn(g):
-        _accum(a, np.where(a.data >= LOG_EPS, g / clamped, 0.0))
 
     return _node(data, (a,), backward_fn)
 
@@ -292,49 +216,6 @@ def sigmoid(a):
     return _node(data, (a,), backward_fn)
 
 
-def absolute(a):
-    """|a| with sign(a) as the (sub)gradient; 0 at a == 0."""
-    a = _lift(a, np.float32)
-    data = np.abs(a.data)
-
-    def backward_fn(g):
-        _accum(a, g * np.sign(a.data))
-
-    return _node(data, (a,), backward_fn)
-
-
-def minimum(a, b):
-    """Elementwise min; ties route the gradient to the first operand."""
-    a = _lift(a, np.float32)
-    b = _lift(b, a.dtype)
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"minimum: shapes {a.shape} and {b.shape} do not conform")
-    take_a = a.data <= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def backward_fn(g):
-        _accum(a, _reduce_to(g * take_a, a.shape))
-        _accum(b, _reduce_to(g * ~take_a, b.shape))
-
-    return _node(data, (a, b), backward_fn)
-
-
-def maximum(a, b):
-    """Elementwise max; ties route the gradient to the first operand."""
-    a = _lift(a, np.float32)
-    b = _lift(b, a.dtype)
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"maximum: shapes {a.shape} and {b.shape} do not conform")
-    take_a = a.data >= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def backward_fn(g):
-        _accum(a, _reduce_to(g * take_a, a.shape))
-        _accum(b, _reduce_to(g * ~take_a, b.shape))
-
-    return _node(data, (a, b), backward_fn)
-
-
 def tensor_sum(a):
     """Sum of all elements, as a scalar tensor."""
     a = _lift(a, np.float32)
@@ -344,6 +225,153 @@ def tensor_sum(a):
         _accum(a, np.full(a.shape, g, dtype=a.dtype))
 
     return _node(data, (a,), backward_fn)
+
+
+# -- fused losses --------------------------------------------------------
+#
+# Each loss is one node per term. Its backward is the chain rule of the
+# elementwise graph it stands for, written factor by factor in that graph's
+# order and summed in the order that graph accumulated, so it rounds as
+# that graph did.
+
+
+def _power_slope(a, c):
+    """d/da a**c; 0 where that is not finite (a == 0 with c < 1)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = c * np.power(a, c - 1.0)
+    return np.where(np.isfinite(d), d, 0.0)
+
+
+def focal_bce(scores, target, pos_mask, gamma, norm):
+    """Soft-label focal BCE over a score map, as (positive, negative) terms.
+
+    ``target`` holds the soft label at positive entries and 0 elsewhere;
+    ``pos_mask`` is 1 at positive entries and 0 elsewhere. Both are
+    constants shaped like ``scores``. With
+    BCE(s, t) = -(t log s + (1 - t) log(1 - s)):
+
+        pos = norm * sum(pos_mask * |t - s|^gamma * BCE(s, t))
+        neg = norm * sum((1 - pos_mask) * s^gamma * -log(1 - s))
+
+    Both logs clamp their argument to >= LOG_EPS and pass no gradient where
+    they clamp. |t - s|^gamma takes its slope with sign(0) = 0.
+    """
+    s = _lift(scores, np.float32)
+    x = s.data
+    dtype = x.dtype
+    target = np.asarray(target, dtype=dtype)
+    pos_mask = np.asarray(pos_mask, dtype=dtype)
+    if target.shape != x.shape or pos_mask.shape != x.shape:
+        raise ShapeError(
+            f"focal_bce: target {target.shape} and mask {pos_mask.shape} "
+            f"do not match scores {x.shape}"
+        )
+    neg_mask = 1.0 - pos_mask
+    norm = np.asarray(norm, dtype=dtype)
+    c = float(gamma)
+    clamped_s = np.maximum(x, LOG_EPS)
+    one_minus_s = 1.0 - x
+    clamped_1ms = np.maximum(one_minus_s, LOG_EPS)
+    log_1ms = np.log(clamped_1ms)
+    one_minus_t = 1.0 - target
+    bce = 0.0 - (target * np.log(clamped_s) + one_minus_t * log_1ms)
+    diff = target - x
+    focal = np.power(np.abs(diff), c)
+    s_pow = np.power(x, c)
+    neg_log_1ms = 0.0 - log_1ms
+
+    def through_log_1ms(g):
+        return -np.where(one_minus_s >= LOG_EPS, g / clamped_1ms, 0.0)
+
+    def pos_backward(g):
+        g_in = (g * norm) * pos_mask
+        g_log = -(g_in * focal)
+        via_log_s = np.where(x >= LOG_EPS, (g_log * target) / clamped_s, 0.0)
+        via_focal = -(((g_in * bce) * _power_slope(np.abs(diff), c)) * np.sign(diff))
+        _accum(s, (via_log_s + via_focal) + through_log_1ms(g_log * one_minus_t))
+
+    def neg_backward(g):
+        g_in = (g * norm) * neg_mask
+        via_pow = (g_in * neg_log_1ms) * _power_slope(x, c)
+        _accum(s, through_log_1ms(-(g_in * s_pow)) + via_pow)
+
+    pos = _node((pos_mask * (focal * bce)).sum() * norm, (s,), pos_backward)
+    neg = _node((neg_mask * (s_pow * neg_log_1ms)).sum() * norm, (s,), neg_backward)
+    return pos, neg
+
+
+def giou_loss(dist_map, rows, centers, gt, weights, stride, norm):
+    """t_hat-weighted GIoU loss of boxes decoded from an [H,W,4] distance map.
+
+    Row p of the loss reads position ``rows[p]`` (row-major i*W + j) of the
+    map, whose (l, t, r, b) distances, times ``stride``, span the box
+    (cx - l, cy - t, cx + r, cy + b) around ``centers[p]`` = (cx, cy). Returns
+    norm * sum_p weights[p] * (1 - GIoU(box_p, gt[p])).
+
+    Subgradients: an overlap of zero width or height passes no gradient
+    through the intersection, and a predicted edge that ties its target
+    edge takes the gradient of both the intersection and the hull.
+    """
+    m = _lift(dist_map, np.float32)
+    dtype = m.dtype
+    if m.data.ndim != 3 or m.shape[-1] != 4:
+        raise ShapeError(f"giou_loss expects an [H,W,4] distance map, got {m.shape}")
+    h, w, _ = m.shape
+    idx = np.asarray(rows, dtype=np.int64)
+    centers = np.asarray(centers, dtype=dtype)
+    g = np.asarray(gt, dtype=dtype)
+    weights = np.asarray(weights, dtype=dtype)
+    n = idx.shape[0]
+    if centers.shape != (n, 2) or g.shape != (n, 4) or weights.shape != (n,):
+        raise ShapeError(
+            f"giou_loss: {n} rows but centers {centers.shape}, gt {g.shape}, "
+            f"weights {weights.shape}"
+        )
+    stride = np.asarray(stride, dtype=dtype)
+    norm = np.asarray(norm, dtype=dtype)
+    scaled = m.data.reshape(h * w, 4)[idx] * stride
+    cx, cy = centers[:, 0], centers[:, 1]
+    x1, y1 = cx - scaled[:, 0], cy - scaled[:, 1]
+    x2, y2 = cx + scaled[:, 2], cy + scaled[:, 3]
+    gx1, gy1, gx2, gy2 = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
+
+    # intersection edges: ties take the prediction
+    in_x1, in_y1 = x1 >= gx1, y1 >= gy1
+    in_x2, in_y2 = x2 <= gx2, y2 <= gy2
+    dw = np.where(in_x2, x2, gx2) - np.where(in_x1, x1, gx1)
+    dh = np.where(in_y2, y2, gy2) - np.where(in_y1, y1, gy1)
+    iw, ih = np.maximum(dw, 0.0), np.maximum(dh, 0.0)
+    inter = iw * ih
+    wp, hp = x2 - x1, y2 - y1
+    union = (wp * hp + (gx2 - gx1) * (gy2 - gy1)) - inter
+    # hull edges: ties take the prediction
+    out_x1, out_y1 = x1 <= gx1, y1 <= gy1
+    out_x2, out_y2 = x2 >= gx2, y2 >= gy2
+    hw = np.where(out_x2, x2, gx2) - np.where(out_x1, x1, gx1)
+    hh = np.where(out_y2, y2, gy2) - np.where(out_y1, y1, gy1)
+    hull = hw * hh
+    spare = hull - union
+    giou = inter / union - spare / hull
+
+    def backward_fn(g_out):
+        g_w = (g_out * norm) * weights          # minus d loss / d giou
+        g_spare = g_w / hull
+        g_hull = ((-g_w) * spare) / (hull * hull) + g_spare
+        g_union = (g_w * inter) / (union * union) - g_spare
+        g_inter = -(g_w / union) - g_union
+        g_hw, g_hh = g_hull * hh, g_hull * hw
+        g_dw, g_dh = (g_inter * ih) * (dw > 0), (g_inter * iw) * (dh > 0)
+        g_wp, g_hp = g_union * hp, g_union * wp
+        # d loss / d(l, t, r, b) per stride: overlap, own size, then hull
+        g_l = (g_dw * in_x1 + g_wp) + g_hw * out_x1
+        g_t = (g_dh * in_y1 + g_hp) + g_hh * out_y1
+        g_r = (g_dw * in_x2 + g_wp) + g_hw * out_x2
+        g_b = (g_dh * in_y2 + g_hp) + g_hh * out_y2
+        full = np.zeros((h * w, 4), dtype=dtype)
+        np.add.at(full, idx, np.stack([g_l, g_t, g_r, g_b], axis=1) * stride)
+        _accum(m, full.reshape(h, w, 4))
+
+    return _node((weights * (1.0 - giou)).sum() * norm, (m,), backward_fn)
 
 
 # -- structural ops ------------------------------------------------------
@@ -395,27 +423,6 @@ def take_channel(a, c):
         full = np.zeros(a.shape, dtype=a.dtype)
         full[..., c] = g
         _accum(a, full)
-
-    return _node(data, (a,), backward_fn)
-
-
-def gather_rows(a, flat_indices):
-    """Gather spatial positions of an [H,W,C] map as a [P,C] tensor.
-
-    ``flat_indices`` are row-major positions i*W + j.
-    """
-    a = _lift(a, np.float32)
-    if a.data.ndim != 3:
-        raise ShapeError(f"gather_rows expects an [H,W,C] map, got {a.shape}")
-    h, w, c = a.shape
-    idx = np.asarray(flat_indices, dtype=np.int64)
-    flat = a.data.reshape(h * w, c)
-    data = flat[idx].copy()
-
-    def backward_fn(g):
-        full = np.zeros((h * w, c), dtype=a.dtype)
-        np.add.at(full, idx, g)
-        _accum(a, full.reshape(h, w, c))
 
     return _node(data, (a,), backward_fn)
 

@@ -41,7 +41,7 @@ from aligndet.geometry import (
     iou,
     nms,
 )
-from aligndet.losses import cls_loss, total_loss
+from aligndet.losses import total_loss
 from aligndet.metrics import evaluate_dataset
 from aligndet.model import ModelConfig, build_model
 from aligndet.scenes import (
@@ -78,7 +78,7 @@ def _away_from_zero(rng, shape, margin=0.15):
 def _op_cases(rng):
     """One (name, params, build) triple per differentiable op.
 
-    Structural ops (concat, gather, ...) are multiplied by a fixed
+    Structural ops (concat, select_channels, ...) are multiplied by a fixed
     probe constant before the reducing sum, otherwise any permutation of
     their gradient would sum to the same scalar and pass by accident.
     """
@@ -94,26 +94,11 @@ def _op_cases(rng):
 
     cases = [
         ("add", {"a": a, "b": b}, reduced(lambda p: T.add(p["a"], p["b"]))),
-        ("sub", {"a": a, "b": b}, reduced(lambda p: T.sub(p["a"], p["b"]))),
         ("mul", {"a": a, "b": b}, reduced(lambda p: T.mul(p["a"], p["b"]))),
-        ("div", {"a": a, "b": b + 0.5}, reduced(lambda p: T.div(p["a"], p["b"]))),
-        ("power", {"a": a + 0.2}, reduced(lambda p: T.power(p["a"], 1.5))),
         ("exp", {"a": 1.6 * (rng.random((3, 4)) - 0.5)}, reduced(lambda p: T.exp(p["a"]))),
-        ("log", {"a": a + 0.2}, reduced(lambda p: T.log(p["a"]))),
         ("sqrt", {"a": a + 0.1}, reduced(lambda p: T.sqrt(p["a"]))),
         ("relu", {"a": _away_from_zero(rng, (3, 4))}, reduced(lambda p: T.relu(p["a"]))),
         ("sigmoid", {"a": 2.0 * (rng.random((3, 4)) - 0.5)}, reduced(lambda p: T.sigmoid(p["a"]))),
-        ("absolute", {"a": _away_from_zero(rng, (3, 4))}, reduced(lambda p: T.absolute(p["a"]))),
-        (
-            "minimum",
-            {"a": a, "b": a + _away_from_zero(rng, (3, 4))},
-            reduced(lambda p: T.minimum(p["a"], p["b"])),
-        ),
-        (
-            "maximum",
-            {"a": a, "b": a + _away_from_zero(rng, (3, 4))},
-            reduced(lambda p: T.maximum(p["a"], p["b"])),
-        ),
         ("tensor_sum", {"a": a}, lambda p: T.tensor_sum(p["a"])),
     ]
 
@@ -143,17 +128,6 @@ def _op_cases(rng):
             "take_channel",
             {"a": rng.random((2, 3, 5))},
             lambda p: T.tensor_sum(T.mul(T.take_channel(p["a"], 3), Tensor(probe_ch))),
-        )
-    )
-
-    probe_rows = 0.5 + rng.random((4, 2))
-    cases.append(
-        (
-            "gather_rows",
-            {"a": rng.random((3, 4, 2))},
-            lambda p: T.tensor_sum(
-                T.mul(T.gather_rows(p["a"], [0, 5, 5, 11]), Tensor(probe_rows))
-            ),
         )
     )
 
@@ -208,6 +182,39 @@ def _op_cases(rng):
                     Tensor(probe_bil),
                 )
             ),
+        )
+    )
+
+    # positives sit at least 0.05 from their label, off the focal weight's
+    # sign change; pos and neg get different weights so each is checked
+    shape = (2, 3, 4)
+    pos_mask = (rng.random(shape) < 0.4).astype(np.float64)
+    target = pos_mask * (0.45 + 0.1 * rng.random(shape))
+    scores = np.where(
+        pos_mask > 0, 0.5 + 0.3 * _away_from_zero(rng, shape, 0.35), 0.05 + 0.9 * rng.random(shape)
+    )
+
+    def focal_bce(p):
+        pos, neg = T.focal_bce(p["s"], target, pos_mask, 1.5, 0.8)
+        return T.add(pos, T.mul(neg, 0.37))
+
+    cases.append(("focal_bce", {"s": scores}, focal_bce))
+
+    # each target edge sits 0.15-0.65 px off its predicted edge (no min/max
+    # ties, overlaps at least 0.7 px wide); the last pair is disjoint
+    dists = 0.5 + rng.random((3, 4, 4))
+    rows = np.array([0, 5, 6, 11])
+    centers = 2.0 + 8.0 * rng.random((4, 2))
+    d = 2.0 * dists.reshape(12, 4)[rows]
+    boxes = np.concatenate([centers - d[:, :2], centers + d[:, 2:]], axis=1)
+    gt = boxes + 0.5 * _away_from_zero(rng, (4, 4), 0.3)
+    gt[3] += 20.0
+    weights = 0.2 + 0.8 * rng.random(4)
+    cases.append(
+        (
+            "giou_loss",
+            {"d": dists},
+            lambda p: T.giou_loss(p["d"], rows, centers, gt, weights, 2, 0.7),
         )
     )
     return cases
@@ -419,7 +426,8 @@ def test_c4_loss_oracle(tmp_path):
     )
     p = np.zeros((1, 1, 2))
     p[0, 0, 1] = 0.6
-    pos_term, _ = cls_loss(Tensor(p), asn)
+    one_anchor = AnchorGrid(height=1, width=1, stride=8)
+    pos_term = total_loss(Tensor(p), Tensor(np.ones((1, 1, 4))), asn, [], one_anchor).cls_pos
     if float(pos_term.data) != 0.0:
         failures.append(f"matched positive gives cls_pos {float(pos_term.data):.2e}")
 
@@ -435,7 +443,10 @@ def test_c4_loss_oracle(tmp_path):
         t=zeros,
         t_hat=zeros,
     )
-    _, neg_term = cls_loss(Tensor(np.zeros((2, 2, 3))), asn)
+    neg_term = total_loss(
+        Tensor(np.zeros((2, 2, 3))), Tensor(np.ones((2, 2, 4))), asn, [],
+        AnchorGrid(height=2, width=2, stride=8),
+    ).cls_neg
     if float(neg_term.data) != 0.0:
         failures.append(f"zero-score negatives give cls_neg {float(neg_term.data):.2e}")
 

@@ -281,7 +281,7 @@ class TestForward:
         def build(p):
             head_params = {k: v for k, v in p.items() if k != "x"}
             out = head_forward(p["x"], head_params, cfg)
-            return T.tensor_sum(out.P_align) + T.tensor_sum(out.B_align)
+            return T.add(T.tensor_sum(out.P_align), T.tensor_sum(out.B_align))
 
         err = T.grad_check(build, params, eps=1e-5, coords_per_param=3, seed=0)
         assert err < 1e-3, f"max relative gradient error {err:.3e}"

@@ -13,7 +13,7 @@ from aligndet.assignment import (
     read_assignment_csv,
 )
 from aligndet.geometry import Box
-from aligndet.losses import cls_loss, reg_loss, total_loss
+from aligndet.losses import total_loss
 from aligndet.scenes import SplitMix64
 from aligndet.tensor import Tensor
 
@@ -42,6 +42,22 @@ def all_negative(n):
     )
 
 
+def cls_terms(p, assignment):
+    """total_loss's (cls_pos, cls_neg) for a score map, with no boxes to fit."""
+    h, w, _ = p.shape
+    grid = AnchorGrid(height=h, width=w, stride=8)
+    breakdown = total_loss(p, Tensor(np.ones((h, w, 4))), assignment, [], grid)
+    return breakdown.cls_pos, breakdown.cls_neg
+
+
+def reg_term(b, assignment, instances, grid):
+    """total_loss's reg term for a distance map, against zero scores."""
+    h, w, _ = b.shape
+    k = 1 + max((cls for _, cls in instances), default=0)
+    p = Tensor(np.zeros((h, w, k), dtype=np.float32))
+    return total_loss(p, b, assignment, instances, grid).reg
+
+
 def random_fixture(seed, h=4, w=4, stride=8, n_inst=2, k=3):
     rng = SplitMix64(seed)
     p = Tensor(0.02 + 0.96 * rng.uniform((h, w, k)))
@@ -63,32 +79,32 @@ class TestClsLoss:
     def test_perfect_positive_is_zero(self):
         # s equals t_hat: focal weight |t_hat - s|^2 kills the term
         p = Tensor(np.full((1, 1, 1), 0.73))
-        pos, neg = cls_loss(p, single_anchor_assignment(0.73))
+        pos, neg = cls_terms(p, single_anchor_assignment(0.73))
         assert float(pos.data) == pytest.approx(0.0, abs=1e-12)
         assert float(neg.data) == 0.0   # no negative entries in a 1x1x1 map
 
     def test_silent_negative_is_zero(self):
         p = Tensor(np.zeros((2, 2, 3)))
-        pos, neg = cls_loss(p, all_negative(4))
+        pos, neg = cls_terms(p, all_negative(4))
         assert float(pos.data) == 0.0
         assert float(neg.data) == 0.0
 
     def test_known_positive_value(self):
         # s=0.5 against t_hat=1: 0.25 * (-ln 0.5), normalizer max(1, 1) = 1
         p = Tensor(np.full((1, 1, 1), 0.5))
-        pos, _ = cls_loss(p, single_anchor_assignment(1.0))
+        pos, _ = cls_terms(p, single_anchor_assignment(1.0))
         assert float(pos.data) == pytest.approx(0.25 * math.log(2.0), rel=1e-6)
 
     def test_negative_value(self):
         # one negative entry with s=0.5: 0.25 * -ln(0.5); normalizer 1
         p = Tensor(np.full((1, 1, 1), 0.5))
-        _, neg = cls_loss(p, all_negative(1))
+        _, neg = cls_terms(p, all_negative(1))
         assert float(neg.data) == pytest.approx(0.25 * math.log(2.0), rel=1e-6)
 
     def test_positive_other_classes_are_negatives(self):
         # positive anchor at class 0; its class-1 entry still counts negative
         p = Tensor(np.stack([np.full((1, 1), 0.9), np.full((1, 1), 0.5)], axis=2))
-        pos, neg = cls_loss(p, single_anchor_assignment(0.9, class_id=0))
+        pos, neg = cls_terms(p, single_anchor_assignment(0.9, class_id=0))
         assert float(pos.data) == pytest.approx(0.0, abs=1e-12)
         assert float(neg.data) == pytest.approx(0.25 * math.log(2.0), rel=1e-6)
 
@@ -96,7 +112,7 @@ class TestClsLoss:
         for seed in range(5):
             instances, p, b, grid = random_fixture(seed)
             a = assign(instances, grid, p.data, b.data)
-            pos, neg = cls_loss(p, a)
+            pos, neg = cls_terms(p, a)
             assert float(pos.data) >= 0.0
             assert float(neg.data) >= 0.0
 
@@ -104,7 +120,7 @@ class TestClsLoss:
         instances, p, b, grid = random_fixture(1)
         a = assign(instances, grid, p.data, b.data)
         err = T.grad_check(
-            lambda prm: T.add(*cls_loss(prm["p"], a)),
+            lambda prm: T.add(*cls_terms(prm["p"], a)),
             {"p": p},
             eps=1e-5,
             coords_per_param=12,
@@ -120,26 +136,26 @@ class TestRegLoss:
         # anchor at (0.5, 0.5), distances 0.5 everywhere -> box [0,0,1,1]
         b = Tensor(np.full((1, 1, 4), 0.5))
         inst = [(Box(0, 0, 1, 1, class_id=0), 0)]
-        loss = reg_loss(b, single_anchor_assignment(0.8), inst, self.grid1())
+        loss = reg_term(b, single_anchor_assignment(0.8), inst, self.grid1())
         assert float(loss.data) == pytest.approx(0.0, abs=1e-9)
 
     def test_known_disjoint_value(self):
         # decoded [0,0,1,1] vs target [2,2,3,3]: giou -7/9; weight 0.5
         b = Tensor(np.full((1, 1, 4), 0.5))
         inst = [(Box(2, 2, 3, 3, class_id=0), 0)]
-        loss = reg_loss(b, single_anchor_assignment(0.5), inst, self.grid1())
+        loss = reg_term(b, single_anchor_assignment(0.5), inst, self.grid1())
         assert float(loss.data) == pytest.approx(0.5 * (1 + 7 / 9), rel=1e-6)
 
     def test_no_positives_gives_zero(self):
         b = Tensor(np.ones((2, 2, 4)))
         grid = AnchorGrid(height=2, width=2, stride=8)
-        loss = reg_loss(b, all_negative(4), [], grid)
+        loss = reg_term(b, all_negative(4), [], grid)
         assert float(loss.data) == 0.0
 
     def test_zero_weight_blocks_gradient(self):
         b = Tensor(np.full((1, 1, 4), 0.5))
         inst = [(Box(2, 2, 3, 3, class_id=0), 0)]
-        loss = reg_loss(b, single_anchor_assignment(0.0), inst, self.grid1())
+        loss = reg_term(b, single_anchor_assignment(0.0), inst, self.grid1())
         loss.backward()
         assert float(loss.data) == 0.0
         assert np.all(b.grad == 0)
@@ -149,7 +165,7 @@ class TestRegLoss:
         a = assign(instances, grid, p.data, b.data)
         assert a.num_positive > 0
         err = T.grad_check(
-            lambda prm: reg_loss(prm["b"], a, instances, grid),
+            lambda prm: reg_term(prm["b"], a, instances, grid),
             {"b": b},
             eps=1e-5,
             coords_per_param=12,

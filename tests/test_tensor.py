@@ -18,15 +18,14 @@ class TestForwardValues:
     def test_add_mul(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0, 4.0])
-        assert np.allclose((a + b).data, [4.0, 6.0])
-        assert np.allclose((a * b).data, [3.0, 8.0])
-        assert np.allclose((a - b).data, [-2.0, -2.0])
+        assert np.allclose(T.add(a, b).data, [4.0, 6.0])
+        assert np.allclose(T.mul(a, b).data, [3.0, 8.0])
 
     def test_scalar_broadcast(self):
         a = Tensor([1.0, 2.0])
-        assert np.allclose((a * 2.0).data, [2.0, 4.0])
-        assert np.allclose((a + 1.0).data, [2.0, 3.0])
-        assert np.allclose((1.0 - a).data, [0.0, -1.0])
+        assert np.allclose(T.mul(a, 2.0).data, [2.0, 4.0])
+        assert np.allclose(T.add(a, 1.0).data, [2.0, 3.0])
+        assert np.allclose(T.add(1.0, T.mul(a, -1.0)).data, [0.0, -1.0])
 
     def test_trailing_axis_broadcast(self):
         m = Tensor(np.ones((2, 2, 1)) * 3.0)
@@ -40,6 +39,11 @@ class TestForwardValues:
             T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
         with pytest.raises(ShapeError):
             T.mul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeError):
+            T.focal_bce(Tensor(np.ones((2, 2, 3))), np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), 2.0, 1.0)
+        with pytest.raises(ShapeError):
+            T.giou_loss(Tensor(np.ones((2, 2, 4))), [0, 3], np.zeros((2, 2)), np.zeros((1, 4)),
+                        np.ones(2), 8, 1.0)
 
     def test_sigmoid_known_points(self):
         x = Tensor([0.0, 100.0, -100.0])
@@ -48,14 +52,15 @@ class TestForwardValues:
         assert s[1] == pytest.approx(1.0)
         assert s[2] == pytest.approx(0.0, abs=1e-30)
 
-    def test_exp_log_roundtrip(self):
-        x = Tensor([0.5, 1.0, 2.0])
-        assert np.allclose(T.log(T.exp(x)).data, x.data, atol=1e-6)
-
     def test_log_clamps_at_zero(self):
-        out = T.log(Tensor([0.0]))
-        assert np.isfinite(out.data).all()
-        assert out.data[0] == pytest.approx(np.log(1e-12))
+        # focal_bce's logs clamp at LOG_EPS: a confident miss costs -log(1e-12)
+        # on a positive (s = 0, t = 1) and on a negative (s = 1)
+        s = Tensor(np.array([0.0, 1.0]).reshape(1, 1, 2))
+        pos, neg = T.focal_bce(s, np.array([1.0, 0.0]).reshape(1, 1, 2),
+                               np.array([1.0, 0.0]).reshape(1, 1, 2), 2.0, 1.0)
+        assert np.isfinite(pos.data) and np.isfinite(neg.data)
+        assert float(pos.data) == pytest.approx(-np.log(1e-12))
+        assert float(neg.data) == pytest.approx(-np.log(1e-12))
 
     def test_sqrt_known_gradient(self):
         # d/dx sqrt(x) at 0.25 is 1/(2*0.5) = 1
@@ -72,16 +77,33 @@ class TestForwardValues:
         assert x.grad[0] == 0.0
 
     def test_minimum_maximum(self):
-        a = Tensor([1.0, 5.0])
-        b = Tensor([3.0, 2.0])
-        assert np.allclose(T.minimum(a, b).data, [1.0, 2.0])
-        assert np.allclose(T.maximum(a, b).data, [3.0, 5.0])
+        # giou_loss's overlap spans max(near edges) to min(far edges), its
+        # hull the reverse: [0,0,2,2] against [1,1,3,3] overlaps 1x1, union
+        # 7, hull 3x3
+        d = Tensor(np.ones((1, 1, 4)))
+        loss = T.giou_loss(d, [0], [[1.0, 1.0]], [[1.0, 1.0, 3.0, 3.0]], [1.0], 1, 1.0)
+        assert float(loss.data) == pytest.approx(1.0 - (1 / 7 - 2 / 9))
 
     def test_power_square_gradient(self):
-        # d/dx x^2 at 3 is 6
-        x = Tensor([3.0])
-        T.tensor_sum(T.power(x, 2.0)).backward()
-        assert x.grad[0] == pytest.approx(6.0, rel=1e-6)
+        # focal_bce's negative term s^2 * -log(1 - s) has slope
+        # 2s * -log(1 - s) + s^2 / (1 - s) = ln 2 + 0.5 at s = 0.5
+        s = Tensor(np.full((1, 1, 1), 0.5))
+        zeros = np.zeros((1, 1, 1))
+        _, neg = T.focal_bce(s, zeros, zeros, 2.0, 1.0)
+        neg.backward()
+        assert s.grad[0, 0, 0] == pytest.approx(np.log(2.0) + 0.5)
+
+    def test_gather_rows(self):
+        # giou_loss reads map row i*W + j and returns its gradient there:
+        # row 4 decodes to [0,0,2,2], against [0,0,3,2] GIoU is 4/6
+        m = np.full((2, 3, 4), 0.25)
+        m[1, 1] = 1.0
+        d = Tensor(m)
+        loss = T.giou_loss(d, [4], [[1.0, 1.0]], [[0.0, 0.0, 3.0, 2.0]], [1.0], 1, 1.0)
+        loss.backward()
+        assert float(loss.data) == pytest.approx(1 / 3)
+        touched = np.abs(d.grad).sum(axis=-1) > 0
+        assert touched[1, 1] and touched.sum() == 1
 
     def test_concat_split_roundtrip(self):
         # forward joins the inputs; backward splits the gradient back
@@ -106,11 +128,6 @@ class TestForwardValues:
         m = Tensor(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
         # channel 0 holds 0,2,4,6 -> mean 3; channel 1 holds 1,3,5,7 -> mean 4
         assert np.allclose(T.global_avg_pool(m).data, [3.0, 4.0])
-
-    def test_gather_rows(self):
-        m = Tensor(np.arange(12, dtype=np.float32).reshape(2, 3, 2))
-        out = T.gather_rows(m, [0, 4])
-        assert np.allclose(out.data, [[0.0, 1.0], [8.0, 9.0]])
 
 
 class TestConv:
@@ -218,26 +235,27 @@ class TestBackward:
     def test_requires_scalar_output(self):
         x = Tensor([1.0, 2.0])
         with pytest.raises(GraphError):
-            (x * 2.0).backward()
+            T.mul(x, 2.0).backward()
 
     def test_chain(self):
         # y = sum((2x + 1)^2), dy/dx = 4(2x + 1)
         x = Tensor([1.0, -2.0])
-        y = T.tensor_sum(T.power(x * 2.0 + 1.0, 2.0))
+        u = T.add(T.mul(x, 2.0), 1.0)
+        y = T.tensor_sum(T.mul(u, u))
         y.backward()
         assert np.allclose(x.grad, [12.0, -12.0])
 
     def test_reuse_accumulates(self):
         # y = sum(x * x) uses x twice; dy/dx = 2x
         x = Tensor([3.0])
-        T.tensor_sum(x * x).backward()
+        T.tensor_sum(T.mul(x, x)).backward()
         assert x.grad[0] == pytest.approx(6.0)
 
     def test_diamond_graph(self):
         x = Tensor([1.0])
-        a = x * 2.0
-        b = x * 3.0
-        T.tensor_sum(a + b).backward()
+        a = T.mul(x, 2.0)
+        b = T.mul(x, 3.0)
+        T.tensor_sum(T.add(a, b)).backward()
         assert x.grad[0] == pytest.approx(5.0)
 
     def test_determinism(self):
@@ -261,7 +279,7 @@ class TestGradCheck:
     def test_simple_polynomial(self):
         params = {"x": Tensor(np.array([1.0, -0.5, 2.0], dtype=np.float32))}
         fd_check(
-            lambda p: T.tensor_sum(T.power(p["x"], 2.0) * 3.0 + p["x"]),
+            lambda p: T.tensor_sum(T.add(T.mul(T.mul(p["x"], p["x"]), 3.0), p["x"])),
             params,
             tol=1e-6,
         )
@@ -276,22 +294,24 @@ class TestGradCheck:
             }
 
             def build(p):
-                z = T.mul(p["a"], p["b"]) + T.div(p["a"], p["b"])
-                z = T.sqrt(z) + T.exp(T.mul(z, 0.1)) + T.log(z)
-                z = z + T.sigmoid(p["a"]) + T.relu(p["b"] - 1.0) + T.absolute(p["a"] - 0.9)
+                z = T.add(T.mul(p["a"], p["b"]), T.exp(T.mul(p["b"], -0.5)))
+                z = T.add(T.add(T.sqrt(z), T.exp(T.mul(z, 0.1))), T.mul(z, z))
+                z = T.add(T.add(z, T.sigmoid(p["a"])), T.relu(T.add(p["b"], -1.0)))
                 return T.tensor_sum(z)
 
             fd_check(build, params)
 
     def test_min_max_off_ties(self):
-        rng = np.random.default_rng(5)
-        params = {
-            "a": Tensor(rng.normal(size=6).astype(np.float32)),
-            "b": Tensor(rng.normal(size=6).astype(np.float32)),
-        }
+        # giou_loss's intersection and hull take mins and maxes of box edges;
+        # these boxes keep every edge at least 0.5 px from its target's, and
+        # hold one overlapping, one containing and one disjoint pair
+        d = np.array([[[1.0, 1.2, 0.8, 1.1], [0.6, 0.9, 1.3, 0.7]],
+                      [[2.1, 0.4, 0.5, 1.9], [0.3, 0.6, 0.4, 0.5]]])
+        centers = np.array([[2.0, 2.0], [6.0, 2.0], [6.0, 6.0]])
+        gt = np.array([[-1.0, 0.0, 6.5, 5.5], [3.0, -3.0, 12.0, 7.5], [10.0, 10.0, 12.0, 13.0]])
         fd_check(
-            lambda p: T.tensor_sum(T.minimum(p["a"], p["b"]) + T.maximum(p["a"], p["b"]) * 2.0),
-            params,
+            lambda p: T.giou_loss(p["d"], [0, 1, 3], centers, gt, np.array([0.9, 0.4, 0.7]), 4, 0.5),
+            {"d": Tensor(d)},
         )
 
     def test_conv_and_linear(self):
@@ -324,9 +344,8 @@ class TestGradCheck:
             right = T.select_channels(joined, [2, 3, 4])
             picked = T.select_channels(joined, [0, 4, 4])
             one = T.take_channel(joined, 1)
-            rows = T.gather_rows(joined, [0, 3, 3])
-            return T.tensor_sum(left) + T.tensor_sum(T.mul(right, right)) \
-                + T.tensor_sum(picked) + T.tensor_sum(one) + T.tensor_sum(rows)
+            total = T.add(T.tensor_sum(left), T.tensor_sum(T.mul(right, right)))
+            return T.add(T.add(total, T.tensor_sum(picked)), T.tensor_sum(one))
 
         fd_check(build, params)
 
@@ -337,23 +356,23 @@ class TestGradCheck:
             "rows": Tensor(rng.uniform(0.2, 2.7, size=(2, 2, 2)).astype(np.float32)),
             "cols": Tensor(rng.uniform(0.2, 2.7, size=(2, 2, 2)).astype(np.float32)),
         }
-        fd_check(
-            lambda p: T.tensor_sum(
-                T.power(T.bilinear_sample_per_channel(p["m"], p["rows"], p["cols"]), 2.0)
-            ),
-            params,
-        )
+
+        def build(p):
+            v = T.bilinear_sample_per_channel(p["m"], p["rows"], p["cols"])
+            return T.tensor_sum(T.mul(v, v))
+
+        fd_check(build, params)
 
     def test_constant_only_graph_reports_zero(self):
         params = {"x": Tensor(np.array([1.0, 2.0], dtype=np.float32))}
-        err = T.grad_check(lambda p: T.tensor_sum(p["x"] * 0.0) + 5.0, params)
+        err = T.grad_check(lambda p: T.add(T.tensor_sum(T.mul(p["x"], 0.0)), 5.0), params)
         assert err == 0.0
 
     def test_coordinate_subsampling(self):
         rng = np.random.default_rng(9)
         params = {"x": Tensor(rng.normal(size=(8, 8)).astype(np.float32))}
         err = T.grad_check(
-            lambda p: T.tensor_sum(T.power(p["x"], 2.0)), params, coords_per_param=5
+            lambda p: T.tensor_sum(T.mul(p["x"], p["x"])), params, coords_per_param=5
         )
         assert err < 1e-6
 
@@ -367,8 +386,8 @@ class TestGradCheck:
         }
 
         def build(p):
-            z = T.mul(p["u"], p["v"]) + T.sqrt(p["u"]) + T.sigmoid(p["v"] - 1.0)
-            return T.tensor_sum(T.power(z, 2.0))
+            z = T.add(T.add(T.mul(p["u"], p["v"]), T.sqrt(p["u"])), T.sigmoid(T.add(p["v"], -1.0)))
+            return T.tensor_sum(T.mul(z, z))
 
         fd_check(build, params)
 
