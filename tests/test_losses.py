@@ -173,7 +173,6 @@ class TestRegLoss:
         assert err < 1e-3
 
 
-
 def loss_grads(scores, dists, assignment, instances, stride=1):
     """Backward through total_loss on float64 maps of one 1x1 grid."""
     p = Tensor(np.asarray(scores, dtype=np.float64).reshape(1, 1, -1))

@@ -40,7 +40,8 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.mul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
         with pytest.raises(ShapeError):
-            T.focal_bce(Tensor(np.ones((2, 2, 3))), np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), 2.0, 1.0)
+            T.focal_bce(Tensor(np.ones((2, 2, 3))), np.zeros((2, 2, 2)), np.zeros((2, 2, 3)),
+                        2.0, 1.0)
         with pytest.raises(ShapeError):
             T.giou_loss(Tensor(np.ones((2, 2, 4))), [0, 3], np.zeros((2, 2)), np.zeros((1, 4)),
                         np.ones(2), 8, 1.0)
@@ -309,8 +310,9 @@ class TestGradCheck:
                       [[2.1, 0.4, 0.5, 1.9], [0.3, 0.6, 0.4, 0.5]]])
         centers = np.array([[2.0, 2.0], [6.0, 2.0], [6.0, 6.0]])
         gt = np.array([[-1.0, 0.0, 6.5, 5.5], [3.0, -3.0, 12.0, 7.5], [10.0, 10.0, 12.0, 13.0]])
+        weights = np.array([0.9, 0.4, 0.7])
         fd_check(
-            lambda p: T.giou_loss(p["d"], [0, 1, 3], centers, gt, np.array([0.9, 0.4, 0.7]), 4, 0.5),
+            lambda p: T.giou_loss(p["d"], [0, 1, 3], centers, gt, weights, 4, 0.5),
             {"d": Tensor(d)},
         )
 
