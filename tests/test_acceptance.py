@@ -3,7 +3,8 @@
 Run `pytest tests/test_acceptance.py -v -s` to watch the verdict lines as
 they print. The quick criteria finish in seconds; the two that train real
 models do not (criterion 6 is the smoke run, around six minutes, criterion
-7 compares assigners across three seeds and takes two to three times that).
+7 compares assigners across three seeds and takes two to three times that;
+the two share the seed-0 aligned run, which is trained once per module).
 
 The AP50 pin for the smoke run lives in tests/data/smoke_baseline.json,
 committed with the repository next to its platform band and the per-kernel
@@ -20,6 +21,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from oracle_utils import recompute_losses_from_rows
 
@@ -545,7 +547,24 @@ def _numeric_path():
     return ", ".join(parts)
 
 
-def test_c6_training_smoke(tmp_path):
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    """The default model (seed 0, aligned) trained 500 steps on train_seeds(64).
+
+    Criterion 6 checks this run and criterion 7 reuses it as its seed-0
+    aligned run, which has the same config and data, so the module trains
+    it once. Returns (dataset path, run dir, loss history, train seconds).
+    """
+    root = tmp_path_factory.mktemp("smoke")
+    data = str(root / "train.tdset")
+    write_dataset(make_dataset(train_seeds(64), DatasetConfig()), data)
+    run_dir = str(root / "run_0_aligned")
+    t0 = time.perf_counter()
+    _, hist = train(ModelConfig(seed=0), data, run_dir)
+    return data, run_dir, hist, time.perf_counter() - t0
+
+
+def test_c6_training_smoke(tmp_path, smoke_run):
     if not os.path.exists(SMOKE_PIN):
         _verdict(
             "criterion 6 (training smoke)",
@@ -560,18 +579,16 @@ def test_c6_training_smoke(tmp_path):
     floor = pin["ap50"] - pin["ap50_band"]
 
     t0 = time.perf_counter()
-    data = str(tmp_path / "train.tdset")
-    write_dataset(make_dataset(train_seeds(64), DatasetConfig()), data)
+    data, run_a, hist, train_s = smoke_run
     cfg = ModelConfig(seed=0)  # 500 steps, batch 8 by default
 
     failures = []
-    _, hist = train(cfg, data, str(tmp_path / "runA"))
     first, last = hist[0]["total"], hist[-1]["total"]
     if not last < 0.5 * first:
         failures.append(f"loss ratio {last / first:.3f} >= 0.5")
 
     model_params, forward = build_model(cfg)
-    loaded, _, _ = load_checkpoint(str(tmp_path / "runA" / "checkpoint"))
+    loaded, _, _ = load_checkpoint(os.path.join(run_a, "checkpoint"))
     adopt_params(model_params, loaded)
     report = evaluate_dataset(forward, read_dataset(data), cfg.grid())
 
@@ -583,12 +600,13 @@ def test_c6_training_smoke(tmp_path):
         failures.append(note)
 
     train(cfg, data, str(tmp_path / "runB"))
-    bytes_a = (tmp_path / "runA" / "checkpoint" / "params.bin").read_bytes()
+    with open(os.path.join(run_a, "checkpoint", "params.bin"), "rb") as f:
+        bytes_a = f.read()
     bytes_b = (tmp_path / "runB" / "checkpoint" / "params.bin").read_bytes()
     if bytes_a != bytes_b:
         failures.append("reruns produced different checkpoints")
 
-    elapsed = time.perf_counter() - t0
+    elapsed = train_s + time.perf_counter() - t0
     detail = (
         f"loss {first:.3f} -> {last:.3f} (ratio {last / first:.2f}), {note}, "
         f"reruns {'bit-identical' if bytes_a == bytes_b else 'DIFFER'}, "
@@ -600,9 +618,8 @@ def test_c6_training_smoke(tmp_path):
 # -- criterion 7: directional check against the center baseline ----------
 
 
-def test_c7_directional_alignment(tmp_path):
-    data = str(tmp_path / "train.tdset")
-    write_dataset(make_dataset(train_seeds(64), DatasetConfig()), data)
+def test_c7_directional_alignment(tmp_path, smoke_run):
+    data, smoke_dir, _, _ = smoke_run
     val_records = make_dataset(val_seeds(16), DatasetConfig())
 
     pairs = []
@@ -610,8 +627,11 @@ def test_c7_directional_alignment(tmp_path):
         reports = {}
         for assigner in ("aligned", "center"):
             cfg = ModelConfig(seed=seed, assigner=assigner)
-            run_dir = str(tmp_path / f"run_{seed}_{assigner}")
-            train(cfg, data, run_dir)
+            if (seed, assigner) == (0, "aligned"):
+                run_dir = smoke_dir  # criterion 6's run: same config and data
+            else:
+                run_dir = str(tmp_path / f"run_{seed}_{assigner}")
+                train(cfg, data, run_dir)
             model_params, forward = build_model(cfg)
             loaded, _, _ = load_checkpoint(os.path.join(run_dir, "checkpoint"))
             adopt_params(model_params, loaded)
