@@ -2,8 +2,8 @@
 
 Boxes are (x1, y1, x2, y2) with x2 > x1, y2 > y1, in pixel units. The
 overlap helpers accept [N,4]/[M,4] arrays and return dense matrices; the
-differentiable GIoU used by the training loss lives in ``losses`` and is
-built from tensor ops, with these functions serving as its oracle.
+differentiable GIoU used by the training loss is ``tensor.giou_loss``, one
+op with a closed-form gradient, with these functions serving as its oracle.
 """
 
 from __future__ import annotations

@@ -155,8 +155,9 @@ def build_model(cfg):
     head_cfg = cfg.head_config()
 
     def forward(image, params=params, **overrides):
-        x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float32))
-        if x.data.ndim != 3 or x.shape[2] != 3:
+        # a plain array is a constant to conv2d, which then skips its gradient
+        x = image if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
+        if len(x.shape) != 3 or x.shape[2] != 3:
             raise ShapeError(f"expected an [S,S,3] image, got {x.shape}")
         if x.shape[0] != cfg.image_size or x.shape[1] != cfg.image_size:
             raise ShapeError(

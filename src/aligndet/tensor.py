@@ -469,8 +469,16 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     """2-D cross-correlation on an [H,W,Cin] map.
 
     weight is [k,k,Cin,Cout] with k odd, bias is [Cout]. Output spatial size
-    is floor((H + 2*pad - k)/stride) + 1. Implemented as im2col + matmul.
+    is floor((H + 2*pad - k)/stride) + 1. Implemented as im2col + matmul:
+    the patch matrix [h_out*w_out, k*k*Cin] is copied once from a strided
+    view of the zero-padded input, and a 1x1 stride-1 unpadded conv reads
+    the input itself as that matrix, with no copy.
+
+    An ``x`` that is not a Tensor (a plain array, such as the image) is a
+    constant: no gradient is computed for it, which skips the input-gradient
+    GEMM and col2im. Pass a Tensor to get ``x.grad``.
     """
+    x_is_const = not isinstance(x, Tensor)
     x = _lift(x, np.float32)
     weight = _lift(weight, x.dtype)
     bias = _lift(bias, x.dtype)
@@ -497,18 +505,31 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(f"conv2d: output would be empty for input {x.shape} with k={k}")
 
-    padded = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0))) if pad else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    windows = windows[::stride, ::stride]            # [h_out, w_out, Cin, k, k]
-    patches = windows.transpose(0, 1, 3, 4, 2).reshape(h_out * w_out, k * k * cin)
-    patches = np.ascontiguousarray(patches)
+    pointwise = k == 1 and stride == 1 and pad == 0
+    if pointwise:
+        patches = np.ascontiguousarray(x.data).reshape(h * w_in, cin)
+    else:
+        padded = np.zeros((h + 2 * pad, w_in + 2 * pad, cin), dtype=x.dtype)
+        padded[pad:pad + h, pad:pad + w_in] = x.data
+        s0, s1, s2 = padded.strides
+        windows = np.ndarray((h_out, w_out, k, k, cin), dtype=x.dtype, buffer=padded,
+                             strides=(s0 * stride, s1 * stride, s0, s1, s2))
+        # a copy: a reshaped view can keep overlapping rows, which BLAS cannot take
+        patches = np.ascontiguousarray(windows).reshape(h_out * w_out, k * k * cin)
     w_mat = weight.data.reshape(k * k * cin, cout)
-    data = (patches @ w_mat + bias.data).reshape(h_out, w_out, cout)
+    data = patches @ w_mat
+    data += bias.data
+    data = data.reshape(h_out, w_out, cout)
 
     def backward_fn(g):
         g_mat = g.reshape(h_out * w_out, cout)
         _accum(bias, g_mat.sum(axis=0))
         _accum(weight, (patches.T @ g_mat).reshape(weight.shape))
+        if x_is_const:
+            return
+        if pointwise:
+            _accum(x, (g_mat @ w_mat.T).reshape(h, w_in, cin))
+            return
         dpatch = (g_mat @ w_mat.T).reshape(h_out, w_out, k, k, cin)
         gpad = np.zeros((h + 2 * pad, w_in + 2 * pad, cin), dtype=x.dtype)
         for ki in range(k):

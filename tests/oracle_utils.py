@@ -1,10 +1,12 @@
 """Independent scalar reimplementations used as test oracles.
 
 Everything here is written against the documented behavior, in plain
-Python loops, with none of the library's vectorized code paths. Test files
-compare library output against these. The detection oracles (NMS, box
-census, AP) take each IoU from the library's pairwise_iou on one box at a
-time, so the vectorized code must match them with ==, not approximately.
+Python loops, with none of the library's vectorized code paths, except
+``conv2d_reference``: it keeps an earlier numpy conv2d whose GEMMs and
+sums the library's must reproduce bit for bit. Test files compare library
+output against these. The detection oracles (NMS, box census, AP) take
+each IoU from the library's pairwise_iou on one box at a time, so the
+vectorized code must match them with ==, not approximately.
 """
 
 import math
@@ -34,6 +36,38 @@ def bilinear_sample_reference(feature_map, i, j, c):
     top = (1.0 - dj) * at(i0, j0) + dj * at(i0, j1)
     bottom = (1.0 - dj) * at(i1, j0) + dj * at(i1, j1)
     return (1.0 - di) * top + di * bottom
+
+
+def conv2d_reference(x, weight, bias, g, stride=1, pad=0):
+    """conv2d by np.pad + sliding_window_view + transpose im2col, with gradients.
+
+    ``x`` is [H,W,Cin], ``weight`` [k,k,Cin,Cout], ``bias`` [Cout] and ``g``
+    the upstream gradient [h_out,w_out,Cout]. Returns (out, dx, dw, db),
+    each gradient exactly as this implementation hands it to accumulation.
+    """
+    h, w_in, cin = x.shape
+    k, cout = weight.shape[0], weight.shape[3]
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (w_in + 2 * pad - k) // stride + 1
+    padded = np.pad(x, ((pad, pad), (pad, pad), (0, 0))) if pad else x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
+    windows = windows[::stride, ::stride]            # [h_out, w_out, Cin, k, k]
+    patches = windows.transpose(0, 1, 3, 4, 2).reshape(h_out * w_out, k * k * cin)
+    patches = np.ascontiguousarray(patches)
+    w_mat = weight.reshape(k * k * cin, cout)
+    out = (patches @ w_mat + bias).reshape(h_out, w_out, cout)
+
+    g_mat = g.reshape(h_out * w_out, cout)
+    db = g_mat.sum(axis=0)
+    dw = (patches.T @ g_mat).reshape(weight.shape)
+    dpatch = (g_mat @ w_mat.T).reshape(h_out, w_out, k, k, cin)
+    gpad = np.zeros((h + 2 * pad, w_in + 2 * pad, cin), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            gpad[ki:ki + h_out * stride:stride,
+                 kj:kj + w_out * stride:stride] += dpatch[:, :, ki, kj]
+    dx = gpad[pad:pad + h, pad:pad + w_in] if pad else gpad
+    return out, dx, dw, db
 
 
 def recompute_losses_from_rows(rows, gamma=2.0):

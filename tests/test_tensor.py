@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import bilinear_sample_reference
+from oracle_utils import bilinear_sample_reference, conv2d_reference
 
 from aligndet import tensor as T
 from aligndet.errors import FormatError, GraphError, ShapeError
@@ -180,6 +180,52 @@ class TestConv:
         with pytest.raises(ShapeError):
             T.conv2d(x, Tensor(np.ones((3, 3, 2, 1))), Tensor(np.zeros(2)))  # bias size
 
+    @given(
+        k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+        h=st.integers(1, 9), w=st.integers(1, 9), cin=st.integers(1, 6), cout=st.integers(1, 6),
+        dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_bitwise(self, k, stride, pad, h, w, cin, cout, dtype, seed):
+        h_out = (h + 2 * pad - k) // stride + 1
+        w_out = (w + 2 * pad - k) // stride + 1
+        if h_out <= 0 or w_out <= 0:
+            return
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(h, w, cin)).astype(dtype)
+        wt = rng.normal(size=(k, k, cin, cout)).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        # dead ReLU rows: exact zeros, signed like g * (a > 0) makes them
+        g = rng.normal(size=(h_out, w_out, cout)).astype(dtype)
+        g *= (rng.random((h_out, w_out, 1)) < 0.6) * (rng.random(g.shape) < 0.8)
+        ref = conv2d_reference(x, wt, b, g, stride=stride, pad=pad)
+
+        xt, wtt, bt = Tensor(x), Tensor(wt), Tensor(b)
+        out = T.conv2d(xt, wtt, bt, stride=stride, pad=pad)
+        T.tensor_sum(T.mul(out, Tensor(g))).backward()
+        for got, want in zip((out.data, xt.grad, wtt.grad, bt.grad), ref):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (3, 2, 1), (3, 1, 1)])
+    def test_constant_input_gets_no_gradient(self, k, stride, pad):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(6, 5, 3)).astype(np.float32)
+        wt = rng.normal(size=(k, k, 3, 4)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        grads = []
+        for x_in in (Tensor(x), x):
+            wtt, bt = Tensor(wt), Tensor(b)
+            out = T.conv2d(x_in, wtt, bt, stride=stride, pad=pad)
+            T.tensor_sum(T.mul(out, out)).backward()
+            grads.append((out.data, wtt.grad, bt.grad, out._parents[0].grad))
+        (out_t, gw_t, gb_t, gx_t), (out_c, gw_c, gb_c, gx_c) = grads
+        assert np.array_equal(out_t, out_c)
+        assert np.array_equal(gw_t, gw_c) and np.array_equal(gb_t, gb_c)
+        assert gx_t is not None and gx_t.shape == x.shape
+        assert gx_c is None
+
 
 def point(v):
     """One [1,1,1] sample coordinate."""
@@ -332,6 +378,25 @@ class TestGradCheck:
             return T.tensor_sum(T.sigmoid(T.linear(p["fw"], p["fb"], pooled)))
 
         fd_check(build, params)
+
+    def test_pointwise_conv(self):
+        rng = np.random.default_rng(5)
+        params = {
+            "x": Tensor(rng.normal(size=(4, 3, 5))),
+            "w": Tensor(rng.normal(size=(1, 1, 5, 3)) * 0.4),
+            "b": Tensor(rng.normal(size=3) * 0.1),
+        }
+        fd_check(lambda p: T.tensor_sum(T.sigmoid(T.conv2d(p["x"], p["w"], p["b"]))), params)
+
+    def test_conv_stride_one_pad_one(self):
+        rng = np.random.default_rng(6)
+        params = {
+            "x": Tensor(rng.normal(size=(4, 5, 2))),
+            "w": Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.3),
+            "b": Tensor(rng.normal(size=3) * 0.1),
+        }
+        fd_check(lambda p: T.tensor_sum(T.sigmoid(T.conv2d(p["x"], p["w"], p["b"], pad=1))),
+                 params)
 
     def test_structural_ops(self):
         rng = np.random.default_rng(2)

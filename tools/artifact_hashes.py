@@ -1,0 +1,100 @@
+"""Print sha256 prefixes of every artifact the CLI writes, for bit-identity checks.
+
+Run it from the repository root on two checkouts (say, a change and its
+parent) on the same machine and diff the output:
+
+    python3 tools/artifact_hashes.py [--repo PATH]
+
+In a temporary directory it runs ``gen`` (16 train and 4 val scenes at the
+default dataset config), ``train`` for 6 steps and for 0 steps at the default
+model config, ``eval`` of ``bench/checkpoint/`` and of both new checkpoints on
+the val split, ``analyze`` of ``bench/checkpoint/`` against the 6-step
+checkpoint, and ``gradcheck``. Every file written and the ``gradcheck`` stdout
+are hashed. The CLI runs in child processes with ``OPENBLAS_NUM_THREADS=1``,
+so numpy loads with one BLAS thread and the GEMMs sum in one fixed order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+PREFIX = 16
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()[:PREFIX]
+
+
+def _run(repo, args):
+    env = dict(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    src = os.path.join(repo, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-m", "aligndet", *args], env=env,
+                          capture_output=True, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        raise SystemExit(f"aligndet {args[0]} exited with status {proc.returncode}")
+    return proc.stdout
+
+
+def _hash_tree(root, label):
+    lines = []
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = _digest(fh.read())
+            lines.append(f"{digest}  {label}/{os.path.relpath(path, root)}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        help="checkout to run (default: the one holding this script)")
+    args = parser.parse_args(argv)
+    repo = os.path.abspath(args.repo)
+    bench_ckpt = os.path.join(repo, "bench", "checkpoint")
+
+    with tempfile.TemporaryDirectory(prefix="artifact_hashes_") as tmp:
+        def path(*parts):
+            return os.path.join(tmp, *parts)
+
+        def write_config(name, steps):
+            cfg = {"dataset": {"train_count": 16, "val_count": 4}, "model": {"steps": steps}}
+            with open(path(name), "w") as fh:
+                json.dump(cfg, fh)
+            return path(name)
+
+        cfg6, cfg0 = write_config("steps6.json", 6), write_config("steps0.json", 0)
+        _run(repo, ["gen", "--config", cfg6, "--out", path("data")])
+        val = path("data", "val.tdset")
+        for name, cfg in (("train6", cfg6), ("train0", cfg0)):
+            _run(repo, ["train", "--config", cfg, "--dataset", path("data", "train.tdset"),
+                        "--out", path(name)])
+        for name, ckpt in (("eval_bench", bench_ckpt),
+                           ("eval_train0", path("train0", "checkpoint")),
+                           ("eval_train6", path("train6", "checkpoint"))):
+            _run(repo, ["eval", "--dataset", val, "--checkpoint", ckpt, "--out", path(name)])
+        _run(repo, ["analyze", "--dataset", val, "--checkpoint", bench_ckpt,
+                    "--baseline", path("train6", "checkpoint"), "--out", path("analyze")])
+        gradcheck = _run(repo, ["gradcheck"])
+
+        lines = []
+        for name in ("data", "train6", "train0", "eval_bench", "eval_train0",
+                     "eval_train6", "analyze"):
+            lines += _hash_tree(path(name), name)
+        lines.append(f"{_digest(gradcheck)}  gradcheck/stdout")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
