@@ -23,7 +23,7 @@ b = Tensor(np.zeros(4, dtype=np.float64))
 
 def network(params):
     h = T.relu(T.conv2d(img, params["w"], params["b"], pad=1))
-    return T.tensor_sum(T.mul(T.global_avg_pool(h), T.global_avg_pool(h)))
+    return T.tensor_sum(T.mul(T.global_avg_pool([h]), T.global_avg_pool([h])))
 
 loss = network({"w": w, "b": b})
 loss.backward()
@@ -34,8 +34,12 @@ print(f"finite-difference check, max relative error: {err:.2e}")
 
 print("\n== bilinear sampling is differentiable in the coordinates ==")
 m = Tensor(np.arange(16, dtype=np.float64).reshape(4, 4, 1))
-i = Tensor(np.full((1, 1, 1), 1.5))
-j = Tensor(np.full((1, 1, 1), 2.25))
-v = T.tensor_sum(T.bilinear_sample_per_channel(m, i, j))
+# cell (1, 2) samples at offset (0.5, 0.25); v reads that one sample
+o = np.zeros((4, 4, 2))
+o[1, 2] = (0.5, 0.25)
+o = Tensor(o)
+pick = np.zeros((4, 4, 1))
+pick[1, 2] = 1.0
+v = T.tensor_sum(T.mul(T.bilinear_sample_per_channel(m, o), pick))
 v.backward()
-print(f"sample at (1.5, 2.25) = {float(v.data)}; dv/di = {i.grad.item()} (row step is 4)")
+print(f"sample at (1.5, 2.25) = {float(v.data)}; dv/di = {o.grad[1, 2, 0]} (row step is 4)")

@@ -177,6 +177,8 @@ def _restore(checkpoint, config_path):
 
 
 def _check_records(records, cfg, path):
+    if not records:
+        raise ConfigError(f"dataset {path} holds no scenes")
     for rec in records:
         if rec.image.shape[0] != cfg.image_size:
             raise ConfigError(

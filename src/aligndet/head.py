@@ -1,11 +1,14 @@
 """The task-aligned detection head.
 
 One shared stack of N interactive conv features feeds both tasks. Each task
-re-weights the stack with its own layer-attention gates, reduces it, and
-predicts: classification scores P and box distances B. Two small auxiliary
-branches then align the predictions spatially: a probability map M sharpens
-P into P_align = sqrt(P * M), and an offset map O resamples each distance
-channel of B at a learned nearby location to give B_align.
+pools the stack into one layer-attention gate per map, reduces the gated
+stack (X^task_k = w_k * X^inter_k) and predicts: classification scores P
+and box distances B. Two small auxiliary branches then align the
+predictions spatially: a probability map M sharpens P into
+P_align = sqrt(P * M), and an offset map O resamples each distance channel
+of B at a learned nearby location to give B_align. Each of these equations
+is one graph op, and each stage function takes the tensors it reads, so
+the identity probes call them with M = 1, O = 0 or w = 1.
 
 Parameters live in a flat dict of named tensors so the trainer and the
 checkpoint format stay trivial. Shapes at a glance (C channels, N layers,
@@ -67,8 +70,6 @@ class HeadOutputs:
     w_cls: Tensor               # [N] attention gates
     w_loc: Tensor
     inter: list = field(default_factory=list)      # N interactive maps
-    task_cls: list = field(default_factory=list)   # gated stacks, for the unit-gates probe
-    task_loc: list = field(default_factory=list)
 
 
 def _he_conv(rng, k, cin, cout):
@@ -143,28 +144,20 @@ def interactive_features(x, params, cfg):
     return maps
 
 
-def layer_attention(inter, params, task, override_w=None):
-    """Per-layer scalar gates from pooled context; returns (w, gated maps).
-
-    ``override_w`` substitutes a fixed gate vector (no gradient), used to
-    probe the identity w = 1 and one-hot selections.
-    """
-    pooled = T.global_avg_pool(T.concat(inter))
+def layer_attention(inter, params, task):
+    """Per-layer scalar gates w [N] from the pooled interactive maps."""
+    pooled = T.global_avg_pool(inter)
     hidden = T.relu(T.linear(params[f"att.{task}.fc1.w"], params[f"att.{task}.fc1.b"], pooled))
-    w = T.sigmoid(T.linear(params[f"att.{task}.fc2.w"], params[f"att.{task}.fc2.b"], hidden))
-    if override_w is not None:
-        w = Tensor(np.asarray(override_w, dtype=inter[0].dtype))
-    task_feats = [T.mul(m, T.take_channel(w, k)) for k, m in enumerate(inter)]
-    return w, task_feats
+    return T.sigmoid(T.linear(params[f"att.{task}.fc2.w"], params[f"att.{task}.fc2.b"], hidden))
 
 
-def tap_predict(task_feats, params, task):
-    """Reduce the gated stack and predict; scores for cls, distances for loc.
+def tap_predict(inter, w, params, task):
+    """Gate the stack by w, reduce it and predict; scores for cls, distances for loc.
 
     Localization output is exp(raw): positive distances in stride units,
     alive gradient near zero.
     """
-    z = T.concat(task_feats)
+    z = T.gated_concat(inter, w)
     reduced = T.relu(
         T.conv2d(z, params[f"tap.{task}.reduce.w"], params[f"tap.{task}.reduce.b"])
     )
@@ -174,58 +167,40 @@ def tap_predict(task_feats, params, task):
     return T.exp(raw)
 
 
-def align_classification(P, inter_concat, params, override_m=None):
-    """Spatial probability map M and the aligned score sqrt(P * M)."""
-    if override_m is not None:
-        m_arr = np.asarray(override_m, dtype=P.dtype)
-        if m_arr.ndim == 0:
-            m_arr = np.full(P.shape[:2] + (1,), float(m_arr), dtype=P.dtype)
-        M = Tensor(m_arr)
-    else:
-        reduced = T.relu(T.conv2d(inter_concat, params["m.reduce.w"], params["m.reduce.b"]))
-        M = T.sigmoid(T.conv2d(reduced, params["m.pred.w"], params["m.pred.b"], pad=1))
-    P_align = T.sqrt(T.mul(P, M))
-    return M, P_align
+def alignment_maps(inter_concat, params):
+    """The probability map M [H,W,1] and the offset map O [H,W,8]."""
+    reduced = T.relu(T.conv2d(inter_concat, params["m.reduce.w"], params["m.reduce.b"]))
+    M = T.sigmoid(T.conv2d(reduced, params["m.pred.w"], params["m.pred.b"], pad=1))
+    reduced = T.relu(T.conv2d(inter_concat, params["o.reduce.w"], params["o.reduce.b"]))
+    O = T.conv2d(reduced, params["o.pred.w"], params["o.pred.b"], pad=1)
+    return M, O
 
 
-def align_localization(B, inter_concat, params, override_o=None):
-    """Offset map O and the resampled distances B_align.
+def align_classification(P, M):
+    """The aligned score P_align = sqrt(P * M)."""
+    return T.sqrt(T.mul(P, M))
+
+
+def align_localization(B, O):
+    """The resampled distances B_align.
 
     O holds (row, col) offset pairs, one per box side in ltrb order:
     B_align[i,j,c] samples B's channel c bilinearly at
     (i + O[i,j,2c], j + O[i,j,2c+1]). Sampling clamps to the map border.
     """
-    if override_o is not None:
-        o_arr = np.asarray(override_o, dtype=B.dtype)
-        if o_arr.ndim == 0:
-            o_arr = np.full(B.shape[:2] + (8,), float(o_arr), dtype=B.dtype)
-        O = Tensor(o_arr)
-    else:
-        reduced = T.relu(T.conv2d(inter_concat, params["o.reduce.w"], params["o.reduce.b"]))
-        O = T.conv2d(reduced, params["o.pred.w"], params["o.pred.b"], pad=1)
-    h, w = B.shape[0], B.shape[1]
-    ii, jj = np.mgrid[0:h, 0:w]
-    base_i = Tensor(np.repeat(ii[:, :, None], 4, axis=2).astype(B.data.dtype))
-    base_j = Tensor(np.repeat(jj[:, :, None], 4, axis=2).astype(B.data.dtype))
-    rows = T.add(T.select_channels(O, [0, 2, 4, 6]), base_i)
-    cols = T.add(T.select_channels(O, [1, 3, 5, 7]), base_j)
-    B_align = T.bilinear_sample_per_channel(B, rows, cols)
-    return O, B_align
+    return T.bilinear_sample_per_channel(B, O)
 
 
-def head_forward(x, params, cfg, override_m=None, override_o=None,
-                 override_w_cls=None, override_w_loc=None):
-    """Full head pass; override hooks exist for the identity probes."""
+def head_forward(x, params, cfg):
+    """Full head pass from the [H,W,C] feature map."""
     inter = interactive_features(x, params, cfg)
-    inter_concat = T.concat(inter)
-    w_cls, task_cls = layer_attention(inter, params, "cls", override_w=override_w_cls)
-    w_loc, task_loc = layer_attention(inter, params, "loc", override_w=override_w_loc)
-    P = tap_predict(task_cls, params, "cls")
-    B = tap_predict(task_loc, params, "loc")
-    M, P_align = align_classification(P, inter_concat, params, override_m=override_m)
-    O, B_align = align_localization(B, inter_concat, params, override_o=override_o)
+    w_cls = layer_attention(inter, params, "cls")
+    w_loc = layer_attention(inter, params, "loc")
+    P = tap_predict(inter, w_cls, params, "cls")
+    B = tap_predict(inter, w_loc, params, "loc")
+    M, O = alignment_maps(T.concat(inter), params)
     return HeadOutputs(
-        P=P, B=B, M=M, O=O, P_align=P_align, B_align=B_align,
+        P=P, B=B, M=M, O=O,
+        P_align=align_classification(P, M), B_align=align_localization(B, O),
         w_cls=w_cls, w_loc=w_loc, inter=inter,
-        task_cls=task_cls, task_loc=task_loc,
     )

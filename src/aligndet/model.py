@@ -154,7 +154,7 @@ def build_model(cfg):
     params = init_model_params(cfg)
     head_cfg = cfg.head_config()
 
-    def forward(image, params=params, **overrides):
+    def forward(image, params=params):
         # a plain array is a constant to conv2d, which then skips its gradient
         x = image if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
         if len(x.shape) != 3 or x.shape[2] != 3:
@@ -165,6 +165,6 @@ def build_model(cfg):
                 f"{cfg.image_size}x{cfg.image_size}"
             )
         feat = backbone_forward(x, params, cfg)
-        return head_forward(feat, params, head_cfg, **overrides)
+        return head_forward(feat, params, head_cfg)
 
     return params, forward

@@ -18,6 +18,7 @@ from . import tensor as T
 from .assignment import AnchorGrid, assign
 from .errors import FormatError
 from .geometry import Box, iou
+from .head import align_classification, align_localization
 from .losses import total_loss
 from .model import ModelConfig, build_model
 from .scenes import (
@@ -96,23 +97,20 @@ def identity_suite():
     _perturb(params, 123)
     results = []
 
-    out = forward(image, override_m=1.0)
-    gap = float(np.abs(out.P_align.data ** 2 - out.P.data).max())
+    out = forward(image)
+    dtype = out.P.dtype
+    P_align = align_classification(out.P, np.ones(out.M.shape, dtype=dtype))
+    gap = float(np.abs(P_align.data ** 2 - out.P.data).max())
     results.append(("identity/unit-probability-map", gap < 1e-6,
                     f"max |P_align^2 - P| = {gap:.2e}"))
 
-    out = forward(image, override_o=0.0)
-    exact = np.array_equal(out.B_align.data, out.B.data)
+    B_align = align_localization(out.B, np.zeros(out.O.shape, dtype=dtype))
+    exact = np.array_equal(B_align.data, out.B.data)
     results.append(("identity/zero-offsets", exact,
                     "B_align == B bitwise" if exact else "resampled boxes drifted"))
 
-    n = cfg.num_layers
-    out = forward(image, override_w_cls=np.ones(n), override_w_loc=np.ones(n))
-    same = all(
-        np.array_equal(f.data, m.data)
-        for feats in (out.task_cls, out.task_loc)
-        for f, m in zip(feats, out.inter)
-    )
+    stack = T.gated_concat(out.inter, np.ones(cfg.num_layers, dtype=dtype))
+    same = np.array_equal(stack.data, np.concatenate([m.data for m in out.inter], axis=-1))
     results.append(("identity/unit-gates", same,
                     "gated stack == plain stack" if same else "gates leaked into features"))
     return results

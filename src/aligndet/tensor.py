@@ -400,45 +400,57 @@ def concat(tensors, axis=-1):
     return _node(data, tensors, backward_fn)
 
 
-def select_channels(a, indices):
-    """Pick channels (last axis) by index; output keeps the last axis."""
-    a = _lift(a, np.float32)
-    idx = np.asarray(indices, dtype=np.int64)
-    data = a.data[..., idx].copy()
+def _same_maps(op, maps):
+    """Lift a non-empty list of [H,W,C] maps; all must share one shape."""
+    maps = [_lift(m, np.float32) for m in maps]
+    if not maps or maps[0].data.ndim != 3:
+        raise ShapeError(f"{op} expects a list of [H,W,C] maps")
+    for m in maps[1:]:
+        if m.shape != maps[0].shape:
+            raise ShapeError(f"{op}: map {m.shape} differs from {maps[0].shape}")
+    return maps
+
+
+def global_avg_pool(maps):
+    """N [H,W,C] maps -> [N*C]: each map's spatial mean, concatenated.
+
+    For C >= 2 this equals the mean of the concatenated maps bit for bit;
+    numpy sums a one-channel map pairwise instead.
+    """
+    maps = _same_maps("global_avg_pool", maps)
+    h, w, c = maps[0].shape
+    data = np.concatenate([m.data.mean(axis=(0, 1)) for m in maps])
 
     def backward_fn(g):
-        full = np.zeros(a.shape, dtype=a.dtype)
-        np.add.at(full, (..., idx), g)
-        _accum(a, full)
+        g = g / (h * w)
+        for k, m in enumerate(maps):
+            _accum(m, np.broadcast_to(g[k * c:(k + 1) * c], m.shape))
 
-    return _node(data, (a,), backward_fn)
-
-
-def take_channel(a, c):
-    """Pick one channel (last axis), dropping that axis."""
-    a = _lift(a, np.float32)
-    data = a.data[..., c].copy()
-
-    def backward_fn(g):
-        full = np.zeros(a.shape, dtype=a.dtype)
-        full[..., c] = g
-        _accum(a, full)
-
-    return _node(data, (a,), backward_fn)
+    return _node(data, maps, backward_fn)
 
 
-def global_avg_pool(a):
-    """[H,W,C] -> [C] spatial mean."""
-    a = _lift(a, np.float32)
-    if a.data.ndim != 3:
-        raise ShapeError(f"global_avg_pool expects an [H,W,C] map, got {a.shape}")
-    h, w, _ = a.shape
-    data = a.data.mean(axis=(0, 1))
+def gated_concat(maps, w):
+    """concat(maps[k] * w[k]) along channels: N [H,W,C] maps, one gate each.
+
+    Map k gets g_k * w[k] and w[k] gets sum(g_k * maps[k]), where g_k is
+    the gradient's channel block k.
+    """
+    maps = _same_maps("gated_concat", maps)
+    w = _lift(w, maps[0].dtype)
+    n, c = len(maps), maps[0].shape[2]
+    if w.shape != (n,):
+        raise ShapeError(f"gated_concat: {n} maps need [{n}] gates, got {w.shape}")
+    data = np.concatenate([m.data * w.data[k] for k, m in enumerate(maps)], axis=-1)
 
     def backward_fn(g):
-        _accum(a, np.broadcast_to(g / (h * w), a.shape))
+        dw = np.empty(n, dtype=w.dtype)
+        for k, m in enumerate(maps):
+            g_k = g[..., k * c:(k + 1) * c]
+            _accum(m, g_k * w.data[k])
+            dw[k] = (g_k * m.data).sum()
+        _accum(w, dw)
 
-    return _node(data, (a,), backward_fn)
+    return _node(data, maps + [w], backward_fn)
 
 
 def linear(weight, bias, x):
@@ -555,34 +567,33 @@ def _corner_setup(coord, size):
     return lo, hi, frac, in_range
 
 
-def bilinear_sample_per_channel(feature_map, rows, cols):
-    """Vectorized per-channel sampling of an [H,W,C] map.
+def bilinear_sample_per_channel(feature_map, offsets):
+    """Per-channel sampling of an [H,W,C] map at offsets from each cell.
 
-    ``rows`` and ``cols`` are [H',W',C] tensors of absolute fractional
-    coordinates; output[p,q,c] interpolates channel c at
-    (rows[p,q,c], cols[p,q,c]). Each coordinate is clamped to [0, H-1]
-    (rows) or [0, W-1] (cols) before interpolation, so out-of-range samples
-    reduce to the border value along that axis.
+    ``offsets`` is an [H,W,2C] tensor of (row, col) pairs; output[i,j,c]
+    interpolates channel c at (i + offsets[i,j,2c], j + offsets[i,j,2c+1]).
+    Each coordinate is clamped to [0, H-1] (rows) or [0, W-1] (cols) before
+    interpolation, so out-of-range samples reduce to the border value along
+    that axis.
 
     Gradients: the map receives each output's gradient at its four corners,
     scaled by the bilinear weights (corners shared by several samples
-    accumulate). A coordinate receives the slope of the interpolated surface
+    accumulate). An offset receives the slope of the interpolated surface
     along its axis, taken in the cell it falls in; the slope is zero where
     the coordinate was clamped, that is at or beyond either border.
     """
     feature_map = _lift(feature_map, np.float32)
-    rows = _lift(rows, feature_map.dtype)
-    cols = _lift(cols, feature_map.dtype)
+    offsets = _lift(offsets, feature_map.dtype)
     if feature_map.data.ndim != 3:
         raise ShapeError(f"expected an [H,W,C] map, got {feature_map.shape}")
-    if rows.shape != cols.shape or rows.data.ndim != 3 or rows.shape[-1] != feature_map.shape[-1]:
-        raise ShapeError(
-            f"coordinate shapes {rows.shape}/{cols.shape} do not conform with "
-            f"map {feature_map.shape}"
-        )
     h, w, c = feature_map.shape
-    i0, i1, di, i_in = _corner_setup(rows.data, h)
-    j0, j1, dj, j_in = _corner_setup(cols.data, w)
+    if offsets.shape != (h, w, 2 * c):
+        raise ShapeError(f"offsets {offsets.shape} do not fit map {feature_map.shape}")
+    ii, jj = np.mgrid[0:h, 0:w].astype(offsets.dtype)
+    rows = offsets.data[..., 0::2] + ii[:, :, None]
+    cols = offsets.data[..., 1::2] + jj[:, :, None]
+    i0, i1, di, i_in = _corner_setup(rows, h)
+    j0, j1, dj, j_in = _corner_setup(cols, w)
     cidx = np.broadcast_to(np.arange(c, dtype=np.int64), rows.shape)
     m = feature_map.data
     v00 = m[i0, j0, cidx]
@@ -604,10 +615,13 @@ def bilinear_sample_per_channel(feature_map, rows, cols):
         _accum(feature_map, gm)
         gdi = (1.0 - dj) * (v10 - v00) + dj * (v11 - v01)
         gdj = (1.0 - di) * (v01 - v00) + di * (v11 - v10)
-        _accum(rows, (g * gdi * i_in).astype(rows.dtype))
-        _accum(cols, (g * gdj * j_in).astype(cols.dtype))
+        # summed into zeros, so a clamped sample's -0.0 slope is stored as +0.0
+        go = np.zeros(offsets.shape, dtype=offsets.dtype)
+        go[..., 0::2] += (g * gdi * i_in).astype(offsets.dtype)
+        go[..., 1::2] += (g * gdj * j_in).astype(offsets.dtype)
+        _accum(offsets, go)
 
-    return _node(data, (feature_map, rows, cols), backward_fn)
+    return _node(data, (feature_map, offsets), backward_fn)
 
 
 # -- gradient checking ---------------------------------------------------

@@ -2,18 +2,24 @@
 
 Everything here is written against the documented behavior, in plain
 Python loops, with none of the library's vectorized code paths, except
-``conv2d_reference``: it keeps an earlier numpy conv2d whose GEMMs and
-sums the library's must reproduce bit for bit. Test files compare library
+two bitwise references: ``conv2d_reference`` keeps an earlier numpy conv2d,
+and ``head_forward_reference`` an earlier composition of the head from
+smaller ops, whose values and gradients the library's must reproduce bit
+for bit. Test files compare library
 output against these. The detection oracles (NMS, box census, AP) take
 each IoU from the library's pairwise_iou on one box at a time, so the
 vectorized code must match them with ==, not approximately.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from aligndet import tensor as T
 from aligndet.geometry import iou, pairwise_iou
+from aligndet.head import interactive_features
+from aligndet.tensor import Tensor, _accum, _corner_setup, _lift, _node
 
 
 def bilinear_sample_reference(feature_map, i, j, c):
@@ -68,6 +74,132 @@ def conv2d_reference(x, weight, bias, g, stride=1, pad=0):
                  kj:kj + w_out * stride:stride] += dpatch[:, :, ki, kj]
     dx = gpad[pad:pad + h, pad:pad + w_in] if pad else gpad
     return out, dx, dw, db
+
+
+# -- the head composed from per-channel ops -------------------------------
+#
+# Test-only graph ops with the bodies the head was built from before each
+# of its equations became one op: channel picks, one pool over a concat,
+# and a sampler that takes absolute coordinates.
+
+
+def take_channel_reference(a, c):
+    """Pick one channel (last axis), dropping that axis."""
+    a = _lift(a, np.float32)
+    data = a.data[..., c].copy()
+
+    def backward_fn(g):
+        full = np.zeros(a.shape, dtype=a.dtype)
+        full[..., c] = g
+        _accum(a, full)
+
+    return _node(data, (a,), backward_fn)
+
+
+def select_channels_reference(a, indices):
+    """Pick channels (last axis) by index; output keeps the last axis."""
+    a = _lift(a, np.float32)
+    idx = np.asarray(indices, dtype=np.int64)
+    data = a.data[..., idx].copy()
+
+    def backward_fn(g):
+        full = np.zeros(a.shape, dtype=a.dtype)
+        np.add.at(full, (..., idx), g)
+        _accum(a, full)
+
+    return _node(data, (a,), backward_fn)
+
+
+def global_avg_pool_reference(a):
+    """[H,W,C] -> [C] spatial mean."""
+    a = _lift(a, np.float32)
+    h, w, _ = a.shape
+    data = a.data.mean(axis=(0, 1))
+
+    def backward_fn(g):
+        _accum(a, np.broadcast_to(g / (h * w), a.shape))
+
+    return _node(data, (a,), backward_fn)
+
+
+def bilinear_sample_coords_reference(feature_map, rows, cols):
+    """Per-channel sampling of an [H,W,C] map at absolute [H',W',C] coordinates."""
+    feature_map = _lift(feature_map, np.float32)
+    rows = _lift(rows, feature_map.dtype)
+    cols = _lift(cols, feature_map.dtype)
+    h, w, c = feature_map.shape
+    i0, i1, di, i_in = _corner_setup(rows.data, h)
+    j0, j1, dj, j_in = _corner_setup(cols.data, w)
+    cidx = np.broadcast_to(np.arange(c, dtype=np.int64), rows.shape)
+    m = feature_map.data
+    v00 = m[i0, j0, cidx]
+    v01 = m[i0, j1, cidx]
+    v10 = m[i1, j0, cidx]
+    v11 = m[i1, j1, cidx]
+    w00 = (1.0 - di) * (1.0 - dj)
+    w01 = (1.0 - di) * dj
+    w10 = di * (1.0 - dj)
+    w11 = di * dj
+    data = (w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).astype(feature_map.dtype)
+
+    def backward_fn(g):
+        gm = np.zeros(feature_map.shape, dtype=feature_map.dtype)
+        np.add.at(gm, (i0, j0, cidx), g * w00)
+        np.add.at(gm, (i0, j1, cidx), g * w01)
+        np.add.at(gm, (i1, j0, cidx), g * w10)
+        np.add.at(gm, (i1, j1, cidx), g * w11)
+        _accum(feature_map, gm)
+        gdi = (1.0 - dj) * (v10 - v00) + dj * (v11 - v01)
+        gdj = (1.0 - di) * (v01 - v00) + di * (v11 - v10)
+        _accum(rows, (g * gdi * i_in).astype(rows.dtype))
+        _accum(cols, (g * gdj * j_in).astype(cols.dtype))
+
+    return _node(data, (feature_map, rows, cols), backward_fn)
+
+
+def head_forward_reference(x, params, cfg):
+    """The head built from the ops above and the library's unchanged ops.
+
+    Each task pools a concat of the interactive maps, gates map k by
+    ``take_channel(w, k)`` with one ``mul`` each and concatenates the gated
+    maps; B_align samples at ``select_channels(O, ...)`` plus a constant
+    cell grid. Returns the outputs by their ``HeadOutputs`` names.
+    """
+    inter = interactive_features(x, params, cfg)
+    inter_concat = T.concat(inter)
+
+    def task_branch(task):
+        pooled = global_avg_pool_reference(T.concat(inter))
+        hidden = T.relu(T.linear(params[f"att.{task}.fc1.w"], params[f"att.{task}.fc1.b"],
+                                 pooled))
+        w = T.sigmoid(T.linear(params[f"att.{task}.fc2.w"], params[f"att.{task}.fc2.b"], hidden))
+        gated = [T.mul(m, take_channel_reference(w, k)) for k, m in enumerate(inter)]
+        return w, gated
+
+    def tap(gated, task):
+        reduced = T.relu(T.conv2d(T.concat(gated), params[f"tap.{task}.reduce.w"],
+                                  params[f"tap.{task}.reduce.b"]))
+        return T.conv2d(reduced, params[f"tap.{task}.pred.w"], params[f"tap.{task}.pred.b"],
+                        pad=1)
+
+    w_cls, gated_cls = task_branch("cls")
+    w_loc, gated_loc = task_branch("loc")
+    P = T.sigmoid(tap(gated_cls, "cls"))
+    B = T.exp(tap(gated_loc, "loc"))
+    reduced = T.relu(T.conv2d(inter_concat, params["m.reduce.w"], params["m.reduce.b"]))
+    M = T.sigmoid(T.conv2d(reduced, params["m.pred.w"], params["m.pred.b"], pad=1))
+    P_align = T.sqrt(T.mul(P, M))
+    reduced = T.relu(T.conv2d(inter_concat, params["o.reduce.w"], params["o.reduce.b"]))
+    O = T.conv2d(reduced, params["o.pred.w"], params["o.pred.b"], pad=1)
+    h, w = B.shape[0], B.shape[1]
+    ii, jj = np.mgrid[0:h, 0:w]
+    base_i = Tensor(np.repeat(ii[:, :, None], 4, axis=2).astype(B.data.dtype))
+    base_j = Tensor(np.repeat(jj[:, :, None], 4, axis=2).astype(B.data.dtype))
+    rows = T.add(select_channels_reference(O, [0, 2, 4, 6]), base_i)
+    cols = T.add(select_channels_reference(O, [1, 3, 5, 7]), base_j)
+    B_align = bilinear_sample_coords_reference(B, rows, cols)
+    return SimpleNamespace(P=P, B=B, M=M, O=O, P_align=P_align, B_align=B_align,
+                           w_cls=w_cls, w_loc=w_loc, inter=inter)
 
 
 def recompute_losses_from_rows(rows, gamma=2.0):

@@ -43,6 +43,7 @@ from aligndet.geometry import (
     iou,
     nms,
 )
+from aligndet.head import align_classification, align_localization
 from aligndet.losses import total_loss
 from aligndet.metrics import evaluate_dataset
 from aligndet.model import ModelConfig, build_model
@@ -80,7 +81,7 @@ def _away_from_zero(rng, shape, margin=0.15):
 def _op_cases(rng):
     """One (name, params, build) triple per differentiable op.
 
-    Structural ops (concat, select_channels, ...) are multiplied by a fixed
+    Structural ops (concat, gated_concat, ...) are multiplied by a fixed
     probe constant before the reducing sum, otherwise any permutation of
     their gradient would sum to the same scalar and pass by accident.
     """
@@ -113,32 +114,26 @@ def _op_cases(rng):
         )
     )
 
-    probe_sel = 0.5 + rng.random((2, 3, 4))
+    probe_gate = 0.5 + rng.random((2, 3, 12))
     cases.append(
         (
-            "select_channels",
-            {"a": rng.random((2, 3, 5))},
+            "gated_concat",
+            {"a": rng.random((2, 3, 4)), "b": rng.random((2, 3, 4)),
+             "c": rng.random((2, 3, 4)), "w": rng.random(3) - 0.5},
             lambda p: T.tensor_sum(
-                T.mul(T.select_channels(p["a"], [4, 0, 0, 2]), Tensor(probe_sel))
+                T.mul(T.gated_concat([p["a"], p["b"], p["c"]], p["w"]), Tensor(probe_gate))
             ),
         )
     )
 
-    probe_ch = 0.5 + rng.random((2, 3))
-    cases.append(
-        (
-            "take_channel",
-            {"a": rng.random((2, 3, 5))},
-            lambda p: T.tensor_sum(T.mul(T.take_channel(p["a"], 3), Tensor(probe_ch))),
-        )
-    )
-
-    probe_pool = 0.5 + rng.random(5)
+    probe_pool = 0.5 + rng.random(10)
     cases.append(
         (
             "global_avg_pool",
-            {"a": rng.random((3, 4, 5))},
-            lambda p: T.tensor_sum(T.mul(T.global_avg_pool(p["a"]), Tensor(probe_pool))),
+            {"a": rng.random((3, 4, 5)), "b": rng.random((3, 4, 5))},
+            lambda p: T.tensor_sum(
+                T.mul(T.global_avg_pool([p["a"], p["b"]]), Tensor(probe_pool))
+            ),
         )
     )
 
@@ -169,18 +164,19 @@ def _op_cases(rng):
     )
 
     # sample coordinates sit mid-cell so the corner weights stay smooth
-    probe_bil = 0.5 + rng.random((2, 2, 3))
+    probe_bil = 0.5 + rng.random((4, 4, 3))
+    cell = np.mgrid[0:4, 0:4].transpose(1, 2, 0)[..., [0, 1] * 3]
     cases.append(
         (
             "bilinear_sample_per_channel",
             {
                 "map": rng.random((4, 4, 3)),
-                "rows": rng.integers(0, 3, (2, 2, 3)) + 0.15 + 0.7 * rng.random((2, 2, 3)),
-                "cols": rng.integers(0, 3, (2, 2, 3)) + 0.15 + 0.7 * rng.random((2, 2, 3)),
+                "offsets": rng.integers(0, 3, (4, 4, 6)) + 0.15 + 0.7 * rng.random((4, 4, 6))
+                - cell,
             },
             lambda p: T.tensor_sum(
                 T.mul(
-                    T.bilinear_sample_per_channel(p["map"], p["rows"], p["cols"]),
+                    T.bilinear_sample_per_channel(p["map"], p["offsets"]),
                     Tensor(probe_bil),
                 )
             ),
@@ -276,9 +272,9 @@ def test_c1_cases_cover_every_op():
 
 def _perturbed_model(cfg, seed, scale):
     # off-init params keep the identities non-vacuous (the offset head is
-    # zero-initialized, so at init B_align == B holds with or without the
-    # override); the scale must stay small enough for the deeper configs
-    # not to saturate in float32
+    # zero-initialized, so at init O = 0 and B_align == B holds without
+    # the zero-offset probe); the scale must stay small enough for the
+    # deeper configs not to saturate in float32
     params, forward = build_model(cfg)
     rng = SplitMix64(seed)
     for p in params.values():
@@ -303,24 +299,19 @@ def test_c2_equation_identities():
         if not np.all(np.isfinite(free.B_align.data)):
             failures.append(f"config {idx}: perturbed forward is not finite")
 
-        out = forward(image, override_m=1.0)
-        gap = float(np.abs(out.P_align.data ** 2 - out.P.data).max())
+        dtype = free.P.dtype
+        P_align = align_classification(free.P, np.ones(free.M.shape, dtype=dtype))
+        gap = float(np.abs(P_align.data ** 2 - free.P.data).max())
         gap_seen = max(gap_seen, gap)
         if gap >= 1e-6:
             failures.append(f"config {idx}: unit M gap {gap:.2e}")
 
-        out = forward(image, override_o=0.0)
-        if not np.array_equal(out.B_align.data, out.B.data):
+        B_align = align_localization(free.B, np.zeros(free.O.shape, dtype=dtype))
+        if not np.array_equal(B_align.data, free.B.data):
             failures.append(f"config {idx}: zero offsets changed boxes")
 
-        n = cfg.num_layers
-        out = forward(image, override_w_cls=np.ones(n), override_w_loc=np.ones(n))
-        same = all(
-            np.array_equal(f.data, m.data)
-            for feats in (out.task_cls, out.task_loc)
-            for f, m in zip(feats, out.inter)
-        )
-        if not same:
+        stack = T.gated_concat(free.inter, np.ones(cfg.num_layers, dtype=dtype))
+        if not np.array_equal(stack.data, np.concatenate([m.data for m in free.inter], axis=-1)):
             failures.append(f"config {idx}: unit gates leaked into features")
 
     detail = (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aligndet.cli import main
-from aligndet.scenes import read_dataset
+from aligndet.scenes import read_dataset, write_dataset
 from aligndet.train import load_checkpoint
 
 
@@ -203,6 +203,16 @@ class TestEval:
         assert main(["eval", "--dataset", str(out / "val.tdset"),
                      "--checkpoint", str(checkpoint),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_empty_dataset_rejected(self, tmp_path, checkpoint, capsys):
+        empty = tmp_path / "empty.tdset"
+        write_dataset([], str(empty))
+        for verb, extra in (("eval", []), ("analyze", ["--baseline", str(checkpoint)])):
+            out = tmp_path / verb
+            assert main([verb, "--dataset", str(empty), "--checkpoint", str(checkpoint),
+                         "--out", str(out)] + extra) == 2
+            assert "holds no scenes" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_corrupt_checkpoint(self, tmp_path, generated, checkpoint):
         (checkpoint / "params.bin").write_bytes(b"garbage")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_utils import head_forward_reference
 
 from aligndet import tensor as T
 from aligndet.errors import ConfigError, ShapeError
@@ -132,7 +135,7 @@ class TestAttention:
         cfg = small_cfg(num_layers=3)
         params = perturbed_params(cfg)
         inter = interactive_features(random_input(cfg), params, cfg)
-        w, _ = layer_attention(inter, params, "cls")
+        w = layer_attention(inter, params, "cls")
         assert w.shape == (3,)
         assert np.all(w.data > 0) and np.all(w.data < 1)
 
@@ -140,25 +143,27 @@ class TestAttention:
         cfg = small_cfg(num_layers=3)
         params = perturbed_params(cfg)
         inter = interactive_features(random_input(cfg), params, cfg)
-        _, feats = layer_attention(inter, params, "loc", override_w=np.ones(3))
-        for f, m in zip(feats, inter):
-            assert np.array_equal(f.data, m.data)
+        stack = T.gated_concat(inter, np.ones(3))
+        c = cfg.channels
+        for k, m in enumerate(inter):
+            assert np.array_equal(stack.data[..., k * c:(k + 1) * c], m.data)
 
     def test_one_hot_override_selects_layer(self):
         cfg = small_cfg(num_layers=3)
         params = perturbed_params(cfg)
         inter = interactive_features(random_input(cfg), params, cfg)
-        _, feats = layer_attention(inter, params, "cls", override_w=np.array([0.0, 1.0, 0.0]))
-        assert np.all(feats[0].data == 0)
-        assert np.array_equal(feats[1].data, inter[1].data)
-        assert np.all(feats[2].data == 0)
+        stack = T.gated_concat(inter, np.array([0.0, 1.0, 0.0]))
+        c = cfg.channels
+        assert np.all(stack.data[..., :c] == 0)
+        assert np.array_equal(stack.data[..., c:2 * c], inter[1].data)
+        assert np.all(stack.data[..., 2 * c:] == 0)
 
     def test_tasks_share_stack_but_not_gates(self):
         cfg = small_cfg(num_layers=3)
         params = perturbed_params(cfg)
         inter = interactive_features(random_input(cfg), params, cfg)
-        w_cls, _ = layer_attention(inter, params, "cls")
-        w_loc, _ = layer_attention(inter, params, "loc")
+        w_cls = layer_attention(inter, params, "cls")
+        w_loc = layer_attention(inter, params, "loc")
         assert not np.array_equal(w_cls.data, w_loc.data)
 
 
@@ -169,8 +174,7 @@ class TestTap:
         params["tap.cls.pred.b"].data = np.zeros_like(params["tap.cls.pred.b"].data)
         params["tap.cls.pred.w"].data = np.zeros_like(params["tap.cls.pred.w"].data)
         inter = interactive_features(random_input(cfg), params, cfg)
-        _, feats = layer_attention(inter, params, "cls")
-        P = tap_predict(feats, params, "cls")
+        P = tap_predict(inter, layer_attention(inter, params, "cls"), params, "cls")
         assert np.allclose(P.data, 0.5)
 
     def test_zero_weights_give_unit_distances(self):
@@ -178,8 +182,7 @@ class TestTap:
         params = init_head_params(cfg)
         params["tap.loc.pred.w"].data = np.zeros_like(params["tap.loc.pred.w"].data)
         inter = interactive_features(random_input(cfg), params, cfg)
-        _, feats = layer_attention(inter, params, "loc")
-        B = tap_predict(feats, params, "loc")
+        B = tap_predict(inter, layer_attention(inter, params, "loc"), params, "loc")
         assert np.allclose(B.data, 1.0)  # exp(0), one stride unit
 
     def test_audit_shapes_at_80_classes(self):
@@ -204,17 +207,18 @@ class TestAlignClassification:
     def test_unit_map_square_recovers_scores(self):
         cfg = small_cfg()
         params = perturbed_params(cfg)
-        out = head_forward(random_input(cfg), params, cfg, override_m=1.0)
-        assert np.allclose(out.P_align.data ** 2, out.P.data, atol=1e-6)
+        out = head_forward(random_input(cfg), params, cfg)
+        P_align = align_classification(out.P, np.ones(out.M.shape, dtype=np.float32))
+        assert np.allclose(P_align.data ** 2, out.P.data, atol=1e-6)
 
     def test_geometric_mean_fixed_point(self):
         P = Tensor(np.full((3, 3, 1), 0.7, dtype=np.float32))
-        _, P_align = align_classification(P, None, None, override_m=P.data.copy())
+        P_align = align_classification(P, P.data.copy())
         assert np.allclose(P_align.data, 0.7, atol=1e-6)
 
     def test_known_value(self):
         P = Tensor(np.full((2, 2, 1), 0.64, dtype=np.float32))
-        _, P_align = align_classification(P, None, None, override_m=0.25)
+        P_align = align_classification(P, np.full((2, 2, 1), 0.25, dtype=np.float32))
         assert np.allclose(P_align.data, 0.4, atol=1e-6)
 
     def test_range(self):
@@ -227,13 +231,14 @@ class TestAlignClassification:
 class TestAlignLocalization:
     def test_zero_offsets_bitwise_identity(self):
         cfg = small_cfg()
-        out = head_forward(random_input(cfg), perturbed_params(cfg), cfg, override_o=0.0)
-        assert np.array_equal(out.B_align.data, out.B.data)
+        out = head_forward(random_input(cfg), perturbed_params(cfg), cfg)
+        B_align = align_localization(out.B, np.zeros(out.O.shape, dtype=np.float32))
+        assert np.array_equal(B_align.data, out.B.data)
 
     def test_constant_channel_unchanged(self):
         B = Tensor(np.full((4, 4, 4), 2.5, dtype=np.float32))
         o = np.random.default_rng(0).uniform(-3, 3, size=(4, 4, 8))
-        _, B_align = align_localization(B, None, None, override_o=o)
+        B_align = align_localization(B, o)
         assert np.allclose(B_align.data, 2.5, atol=1e-6)
 
     def test_integer_offset_shifts_one_row(self):
@@ -241,7 +246,7 @@ class TestAlignLocalization:
         B = Tensor((rng.normal((5, 5, 4)) + 3.0).astype(np.float32))
         o = np.zeros((5, 5, 8))
         o[:, :, 0] = 1.0   # side 0: sample one row down
-        _, B_align = align_localization(B, None, None, override_o=o)
+        B_align = align_localization(B, o)
         assert np.allclose(B_align.data[:4, :, 0], B.data[1:, :, 0], atol=1e-6)
         # other sides untouched
         assert np.allclose(B_align.data[:, :, 1:], B.data[:, :, 1:], atol=1e-6)
@@ -249,7 +254,7 @@ class TestAlignLocalization:
     def test_border_clamp(self):
         B = Tensor(np.arange(16, dtype=np.float32).reshape(2, 2, 4))
         o = np.full((2, 2, 8), 50.0)
-        _, B_align = align_localization(B, None, None, override_o=o)
+        B_align = align_localization(B, o)
         # every sample lands on the bottom-right border value of its channel
         for c in range(4):
             assert np.allclose(B_align.data[:, :, c], B.data[1, 1, c])
@@ -285,3 +290,38 @@ class TestForward:
 
         err = T.grad_check(build, params, eps=1e-5, coords_per_param=3, seed=0)
         assert err < 1e-3, f"max relative gradient error {err:.3e}"
+
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 4),
+        c=st.sampled_from([4, 8]), h=st.integers(2, 7), w=st.integers(2, 7),
+        k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_bitwise(self, dtype, n, c, h, w, k, seed):
+        # every output, parameter gradient and the input gradient equal the
+        # head composed from per-channel ops, bit for bit and sign of zero
+        cfg = HeadConfig(channels=c, num_layers=n, num_classes=k,
+                         attention_ratio=4, align_channels=4)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(h, w, c)).astype(dtype)
+        probe_p = rng.normal(size=(h, w, k)).astype(dtype)
+        probe_b = rng.normal(size=(h, w, 4)).astype(dtype)
+        nudged = {name: (p.data + rng.normal(size=p.shape) * 0.1).astype(dtype)
+                  for name, p in init_head_params(cfg, seed=seed % 997).items()}
+        runs = []
+        for forward in (head_forward, head_forward_reference):
+            params = {name: Tensor(a) for name, a in nudged.items()}
+            xt = Tensor(x)
+            out = forward(xt, params, cfg)
+            T.add(T.tensor_sum(T.mul(out.P_align, Tensor(probe_p))),
+                  T.tensor_sum(T.mul(out.B_align, Tensor(probe_b)))).backward()
+            got = [getattr(out, f).data for f in
+                   ("P", "B", "M", "O", "P_align", "B_align", "w_cls", "w_loc")]
+            got += [m.data for m in out.inter] + [xt.grad]
+            got += [params[name].grad for name in sorted(params)]
+            runs.append(got)
+        for got, want in zip(*runs):
+            assert np.all(np.isfinite(want))
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import bilinear_sample_reference, conv2d_reference
+from oracle_utils import (
+    bilinear_sample_coords_reference,
+    bilinear_sample_reference,
+    conv2d_reference,
+    global_avg_pool_reference,
+    select_channels_reference,
+    take_channel_reference,
+)
 
 from aligndet import tensor as T
 from aligndet.errors import FormatError, GraphError, ShapeError
@@ -45,6 +52,19 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.giou_loss(Tensor(np.ones((2, 2, 4))), [0, 3], np.zeros((2, 2)), np.zeros((1, 4)),
                         np.ones(2), 8, 1.0)
+        maps = [Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5)))]
+        with pytest.raises(ShapeError):
+            T.gated_concat(maps, np.ones(2))
+        with pytest.raises(ShapeError):
+            T.global_avg_pool(maps)
+        with pytest.raises(ShapeError):
+            T.gated_concat(maps[:1] * 2, np.ones(3))
+        with pytest.raises(ShapeError):
+            T.gated_concat(maps[:1] * 2, np.ones((2, 1)))
+        with pytest.raises(ShapeError):
+            T.bilinear_sample_per_channel(maps[0], np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            T.bilinear_sample_per_channel(maps[0], np.zeros((3, 2, 8)))
 
     def test_sigmoid_known_points(self):
         x = Tensor([0.0, 100.0, -100.0])
@@ -128,7 +148,53 @@ class TestForwardValues:
     def test_global_avg_pool(self):
         m = Tensor(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
         # channel 0 holds 0,2,4,6 -> mean 3; channel 1 holds 1,3,5,7 -> mean 4
-        assert np.allclose(T.global_avg_pool(m).data, [3.0, 4.0])
+        assert np.allclose(T.global_avg_pool([m]).data, [3.0, 4.0])
+        # a second map's means follow the first's
+        doubled = Tensor(2.0 * m.data)
+        assert np.allclose(T.global_avg_pool([m, doubled]).data, [3.0, 4.0, 6.0, 8.0])
+
+    @given(n=st.integers(1, 4), c=st.integers(2, 5), h=st.integers(1, 5), w=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_fused_ops_match_reference_bitwise(self, n, c, h, w, dtype, seed):
+        # pooling, gating and offset sampling against the per-channel ops
+        # they replace; the offsets reach past the border, so some samples
+        # clamp and their offset gradients are signed zeros. C starts at 2:
+        # one-channel maps pool pairwise (see global_avg_pool's docstring)
+        rng = np.random.default_rng(seed)
+        maps = rng.normal(size=(n, h, w, c)).astype(dtype)
+        gates = rng.normal(size=n).astype(dtype)
+        offs = rng.uniform(-1.5 * max(h, w), 1.5 * max(h, w), size=(h, w, 2 * c)).astype(dtype)
+        g_pool = rng.normal(size=n * c).astype(dtype)
+        g_gate = rng.normal(size=(h, w, n * c)).astype(dtype)
+        g_samp = rng.normal(size=(h, w, c)).astype(dtype)
+        ii, jj = np.mgrid[0:h, 0:w]
+        grid_i = np.repeat(ii[:, :, None], c, axis=2).astype(dtype)
+        grid_j = np.repeat(jj[:, :, None], c, axis=2).astype(dtype)
+        runs = []
+        for fused in (True, False):
+            ms, wt, ot = [Tensor(m) for m in maps], Tensor(gates), Tensor(offs)
+            src = Tensor(maps[0])
+            if fused:
+                pooled = T.global_avg_pool(ms)
+                gated = T.gated_concat(ms, wt)
+                sampled = T.bilinear_sample_per_channel(src, ot)
+            else:
+                pooled = global_avg_pool_reference(T.concat(ms))
+                gated = T.concat([T.mul(m, take_channel_reference(wt, k))
+                                  for k, m in enumerate(ms)])
+                rows = T.add(select_channels_reference(ot, range(0, 2 * c, 2)), Tensor(grid_i))
+                cols = T.add(select_channels_reference(ot, range(1, 2 * c, 2)), Tensor(grid_j))
+                sampled = bilinear_sample_coords_reference(src, rows, cols)
+            loss = T.add(T.tensor_sum(T.mul(pooled, Tensor(g_pool))),
+                         T.tensor_sum(T.mul(gated, Tensor(g_gate))))
+            T.add(loss, T.tensor_sum(T.mul(sampled, Tensor(g_samp)))).backward()
+            runs.append([pooled.data, gated.data, sampled.data, wt.grad, ot.grad, src.grad]
+                        + [m.grad for m in ms])
+        for got, want in zip(*runs):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestConv:
@@ -227,54 +293,59 @@ class TestConv:
         assert gx_c is None
 
 
-def point(v):
-    """One [1,1,1] sample coordinate."""
-    return Tensor(np.full((1, 1, 1), v, dtype=np.float32))
+def offsets_at(h, w, i, j, di, dj):
+    """Zero [h,w,2] offsets, except (di, dj) at cell (i, j)."""
+    o = np.zeros((h, w, 2), dtype=np.float32)
+    o[i, j] = (di, dj)
+    return Tensor(o)
 
 
 class TestBilinear:
     def test_midpoint_average(self):
         m = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]], dtype=np.float32)[..., None])
-        out = T.bilinear_sample_per_channel(m, point(0.5), point(0.5))
+        out = T.bilinear_sample_per_channel(m, offsets_at(2, 2, 0, 0, 0.5, 0.5))
         assert out.data[0, 0, 0] == pytest.approx(1.5)
 
     def test_integer_coordinate_is_exact(self):
         m = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3, 1))
-        out = T.bilinear_sample_per_channel(m, point(1.0), point(2.0))
+        out = T.bilinear_sample_per_channel(m, offsets_at(2, 3, 0, 0, 1.0, 2.0))
         assert out.data[0, 0, 0] == pytest.approx(5.0)
+        # zero offsets read each cell itself
+        assert np.array_equal(out.data[..., 0].ravel()[1:], m.data[..., 0].ravel()[1:])
 
     def test_out_of_range_clamps_to_border(self):
         m = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2, 1))
-        low = T.bilinear_sample_per_channel(m, point(-3.0), point(-3.0))
-        high = T.bilinear_sample_per_channel(m, point(9.0), point(9.0))
+        low = T.bilinear_sample_per_channel(m, np.full((2, 2, 2), -3.0))
+        high = T.bilinear_sample_per_channel(m, np.full((2, 2, 2), 9.0))
         assert low.data[0, 0, 0] == pytest.approx(0.0)
         assert high.data[0, 0, 0] == pytest.approx(3.0)
+        assert np.all(low.data == 0.0) and np.all(high.data == 3.0)
 
     def test_coordinate_gradient(self):
         # map [[0,1],[2,3]]: at (0.5, 0.5) slope is 2 along rows, 1 along cols
         m = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]], dtype=np.float32)[..., None])
-        i, j = point(0.5), point(0.5)
-        T.tensor_sum(T.bilinear_sample_per_channel(m, i, j)).backward()
-        assert i.grad[0, 0, 0] == pytest.approx(2.0)
-        assert j.grad[0, 0, 0] == pytest.approx(1.0)
+        o = offsets_at(2, 2, 0, 0, 0.5, 0.5)
+        T.tensor_sum(T.bilinear_sample_per_channel(m, o)).backward()
+        assert o.grad[0, 0, 0] == pytest.approx(2.0)
+        assert o.grad[0, 0, 1] == pytest.approx(1.0)
 
     def test_clamped_coordinate_gradient_is_zero(self):
         m = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2, 1))
-        i, j = point(-5.0), point(0.5)
-        T.tensor_sum(T.bilinear_sample_per_channel(m, i, j)).backward()
-        assert i.grad[0, 0, 0] == 0.0
-        assert j.grad[0, 0, 0] != 0.0
+        o = offsets_at(2, 2, 0, 0, -5.0, 0.5)
+        T.tensor_sum(T.bilinear_sample_per_channel(m, o)).backward()
+        assert o.grad[0, 0, 0] == 0.0
+        assert o.grad[0, 0, 1] != 0.0
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(5, 4, 3)).astype(np.float32)
-        rows = rng.uniform(-1, 6, size=(2, 2, 3)).astype(np.float32)
-        cols = rng.uniform(-1, 5, size=(2, 2, 3)).astype(np.float32)
-        out = T.bilinear_sample_per_channel(Tensor(m), Tensor(rows), Tensor(cols)).data
-        for p in range(2):
-            for q in range(2):
+        o = rng.uniform(-2, 2, size=(5, 4, 6)).astype(np.float32)
+        out = T.bilinear_sample_per_channel(Tensor(m), Tensor(o)).data
+        for p in range(5):
+            for q in range(4):
                 for c in range(3):
-                    ref = bilinear_sample_reference(m, rows[p, q, c], cols[p, q, c], c)
+                    i, j = p + o[p, q, 2 * c], q + o[p, q, 2 * c + 1]
+                    ref = bilinear_sample_reference(m, i, j, c)
                     assert out[p, q, c] == pytest.approx(ref, abs=1e-5)
 
 
@@ -374,7 +445,7 @@ class TestGradCheck:
 
         def build(p):
             y = T.relu(T.conv2d(p["x"], p["w"], p["b"], stride=2, pad=1))
-            pooled = T.global_avg_pool(y)
+            pooled = T.global_avg_pool([y])
             return T.tensor_sum(T.sigmoid(T.linear(p["fw"], p["fb"], pooled)))
 
         fd_check(build, params)
@@ -403,29 +474,30 @@ class TestGradCheck:
         params = {
             "a": Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32)),
             "b": Tensor(rng.normal(size=(2, 2, 2)).astype(np.float32)),
+            "c": Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32)),
+            "w": Tensor(rng.normal(size=2).astype(np.float32)),
         }
 
         def build(p):
             joined = T.concat([p["a"], p["b"]])
-            left = T.select_channels(joined, [0, 1])
-            right = T.select_channels(joined, [2, 3, 4])
-            picked = T.select_channels(joined, [0, 4, 4])
-            one = T.take_channel(joined, 1)
-            total = T.add(T.tensor_sum(left), T.tensor_sum(T.mul(right, right)))
-            return T.add(T.add(total, T.tensor_sum(picked)), T.tensor_sum(one))
+            gated = T.gated_concat([p["a"], p["c"]], p["w"])
+            pooled = T.global_avg_pool([p["c"], p["a"]])
+            total = T.add(T.tensor_sum(T.mul(joined, joined)), T.tensor_sum(T.mul(gated, gated)))
+            return T.add(total, T.tensor_sum(T.mul(pooled, pooled)))
 
         fd_check(build, params)
 
     def test_bilinear_sampling(self):
+        # sample coordinates stay in (0.2, 2.7), inside the 4x4 map
         rng = np.random.default_rng(4)
+        grid = np.mgrid[0:4, 0:4].transpose(1, 2, 0)[..., [0, 1, 0, 1]]
         params = {
             "m": Tensor(rng.normal(size=(4, 4, 2)).astype(np.float32)),
-            "rows": Tensor(rng.uniform(0.2, 2.7, size=(2, 2, 2)).astype(np.float32)),
-            "cols": Tensor(rng.uniform(0.2, 2.7, size=(2, 2, 2)).astype(np.float32)),
+            "o": Tensor((rng.uniform(0.2, 2.7, size=(4, 4, 4)) - grid).astype(np.float32)),
         }
 
         def build(p):
-            v = T.bilinear_sample_per_channel(p["m"], p["rows"], p["cols"])
+            v = T.bilinear_sample_per_channel(p["m"], p["o"])
             return T.tensor_sum(T.mul(v, v))
 
         fd_check(build, params)
