@@ -48,11 +48,12 @@ def _check_cfg(seed=0):
 
 def _perturb(params, seed, scale=0.15):
     # fresh initialization leaves relu inputs and sample coordinates on
-    # kinks; finite differences need smooth surroundings
+    # kinks; finite differences need smooth surroundings. Returns the
+    # stream, so that a caller can draw its inputs from it next.
     rng = SplitMix64(seed)
     for p in params.values():
         p.data = p.data + (rng.normal(p.data.shape) * scale).astype(np.float32)
-    return params
+    return rng
 
 
 def _fixture_record(seed):
@@ -89,31 +90,38 @@ def gradient_suite(seeds=(0, 1, 2), tolerance=1e-3):
     return results
 
 
-def identity_suite():
-    """The three structural identities the head must satisfy."""
-    cfg = _check_cfg(seed=7)
-    image, _ = _fixture_record(2000)
-    params, forward = build_model(cfg)
-    _perturb(params, 123)
-    results = []
+def identity_suite(forward, image):
+    """The head's three identities, on a model the caller built and perturbed.
 
+    Unit M gives P_align^2 = P, zero O gives B_align = B, and unit layer
+    attention gives X^task = X^inter. Each line also needs a finite forward,
+    and the zero-O line needs active offsets (B_align != B; the offset head
+    starts at zero). A failing line leads with the check that failed.
+    """
     out = forward(image)
     dtype = out.P.dtype
+    finite = all(np.isfinite(t.data).all() for t in (out.P_align, out.B_align))
+
+    def result(name, holds, detail, *preconditions):
+        checks = ((finite, "perturbed forward is not finite"),) + preconditions
+        failed = [note for ok, note in checks if not ok]
+        return name, holds and not failed, "; ".join(failed + [detail])
+
     P_align = align_classification(out.P, np.ones(out.M.shape, dtype=dtype))
     gap = float(np.abs(P_align.data ** 2 - out.P.data).max())
-    results.append(("identity/unit-probability-map", gap < 1e-6,
-                    f"max |P_align^2 - P| = {gap:.2e}"))
-
     B_align = align_localization(out.B, np.zeros(out.O.shape, dtype=dtype))
     exact = np.array_equal(B_align.data, out.B.data)
-    results.append(("identity/zero-offsets", exact,
-                    "B_align == B bitwise" if exact else "resampled boxes drifted"))
-
-    stack = T.gated_concat(out.inter, np.ones(cfg.num_layers, dtype=dtype))
+    active = not np.array_equal(out.B_align.data, out.B.data)
+    stack = T.gated_concat(out.inter, np.ones(len(out.inter), dtype=dtype))
     same = np.array_equal(stack.data, np.concatenate([m.data for m in out.inter], axis=-1))
-    results.append(("identity/unit-gates", same,
-                    "gated stack == plain stack" if same else "gates leaked into features"))
-    return results
+    return [
+        result("identity/unit-probability-map", gap < 1e-6, f"max |P_align^2 - P| = {gap:.2e}"),
+        result("identity/zero-offsets", exact,
+               "B_align == B bitwise" if exact else "resampled boxes drifted",
+               (active, "offsets inactive, identity is vacuous")),
+        result("identity/unit-gates", same,
+               "gated stack == plain stack" if same else "gates leaked into features"),
+    ]
 
 
 def brute_force_assign(instances, grid, p_align, b_align, m, alpha, beta):
@@ -274,9 +282,12 @@ def format_suite():
 
 def run_all(out=None, seed=0):
     """Run every suite, print one line per check, return overall success."""
+    params, forward = build_model(_check_cfg(seed=7))
+    _perturb(params, 123)
+    image, _ = _fixture_record(2000)
     suites = (
-        gradient_suite(seeds=(seed, seed + 1, seed + 2)),
-        identity_suite(),
+        gradient_suite(seeds=tuple((seed + k) % 2 ** 64 for k in range(3))),
+        identity_suite(forward, image),
         assignment_suite(seed=seed),
         format_suite(),
     )

@@ -110,10 +110,18 @@ def _node(data, parents, backward_fn):
 
 
 def _accum(t, g):
+    """Add ``g`` into ``t.grad``. A first ``g`` is stored without a copy, so
+    it must be an array the op has just allocated and nothing else holds;
+    an op that passes ``g``, or a view of it, through calls _accum_shared."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad += g
+
+
+def _accum_shared(t, g):
+    """_accum for a ``g`` that other tensors or the caller still hold."""
+    _accum(t, np.array(g, dtype=t.data.dtype) if t.grad is None else g)
 
 
 # -- elementwise arithmetic ---------------------------------------------
@@ -127,8 +135,8 @@ def add(a, b):
     data = a.data + b.data
 
     def backward_fn(g):
-        _accum(a, g if a.shape == data.shape else g.sum())
-        _accum(b, g if b.shape == data.shape else g.sum())
+        _accum_shared(a, g if a.shape == data.shape else g.sum())
+        _accum_shared(b, g if b.shape == data.shape else g.sum())
 
     return _node(data, (a, b), backward_fn)
 
@@ -395,7 +403,7 @@ def concat(tensors, axis=-1):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[ax] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
+            _accum_shared(t, g[tuple(sl)])
 
     return _node(data, tensors, backward_fn)
 
@@ -424,7 +432,7 @@ def global_avg_pool(maps):
     def backward_fn(g):
         g = g / (h * w)
         for k, m in enumerate(maps):
-            _accum(m, np.broadcast_to(g[k * c:(k + 1) * c], m.shape))
+            _accum_shared(m, np.broadcast_to(g[k * c:(k + 1) * c], m.shape))
 
     return _node(data, maps, backward_fn)
 
@@ -468,7 +476,7 @@ def linear(weight, bias, x):
 
     def backward_fn(g):
         _accum(weight, np.outer(g, x.data))
-        _accum(bias, g)
+        _accum_shared(bias, g)
         _accum(x, weight.data.T @ g)
 
     return _node(data, (weight, bias, x), backward_fn)

@@ -260,7 +260,20 @@ class TestGradcheck:
         assert main(["gradcheck"]) == 2
 
     def test_fast_suites_pass(self):
-        from aligndet.selfcheck import format_suite, identity_suite
+        from aligndet import selfcheck
+        from aligndet.model import build_model
 
-        for name, ok, detail in identity_suite() + format_suite():
+        params, forward = build_model(selfcheck._check_cfg(seed=7))
+        selfcheck._perturb(params, 123)
+        image, _ = selfcheck._fixture_record(2000)
+        results = selfcheck.identity_suite(forward, image) + selfcheck.format_suite()
+        for name, ok, detail in results:
             assert ok, f"{name}: {detail}"
+
+    def test_seed_labels_wrap_like_the_seeds_they_name(self, capsys):
+        # every printed seed is one the CLI accepts: seed + k wraps mod 2^64
+        assert main(["gradcheck", "--seed", str(2 ** 64 - 1)]) == 0
+        labels = [line.split(":")[0].split("/")[-1]
+                  for line in capsys.readouterr().out.splitlines()
+                  if "gradient/full-graph/" in line]
+        assert labels == [f"seed{2 ** 64 - 1}", "seed0", "seed1"]

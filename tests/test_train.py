@@ -4,13 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from aligndet import tensor as T
 from aligndet.errors import CheckpointError, ConfigError, TrainingError
 from aligndet.losses import total_loss
 from aligndet.model import ModelConfig, build_model, init_model_params
 from aligndet.scenes import (
     DatasetConfig,
-    SplitMix64,
     make_dataset,
     train_seeds,
     write_dataset,
@@ -250,35 +248,6 @@ class TestTrainStep:
         params, forward = build_model(cfg)
         with pytest.raises(TrainingError):
             train_step([], params, forward, OptState(), cfg)
-
-    def test_full_graph_gradcheck_frozen_assignment(self, tmp_path):
-        # end-to-end: backbone -> head -> losses, FD vs analytic
-        from aligndet.geometry import Box
-        from aligndet.scenes import SceneRecord
-        from aligndet.train import _assign_for
-
-        cfg = tiny_cfg(image_size=16, backbone_channels=(4, 4, 8, 8), channels=8)
-        rng = SplitMix64(17)
-        rec = SceneRecord(
-            image=rng.uniform((16, 16, 3)).astype(np.float32),
-            instances=[(Box(1, 2, 11, 12, class_id=0), 0), (Box(6, 5, 15, 15, class_id=1), 1)],
-            seed=17,
-        )
-        params, forward = build_model(cfg)
-        rng = SplitMix64(99)
-        for p in params.values():
-            p.data = p.data + (rng.normal(p.data.shape) * 0.15).astype(np.float32)
-        frozen = _assign_for(cfg, rec, forward(rec.image))
-        image64 = rec.image.astype(np.float64)
-
-        def build(p):
-            out = forward(Tensor(image64), params=p)
-            return total_loss(
-                out.P_align, out.B_align, frozen, rec.instances, cfg.grid(), gamma=cfg.gamma
-            ).total
-
-        err = T.grad_check(build, params, eps=1e-5, coords_per_param=2, seed=0)
-        assert err < 1e-3, f"max relative gradient error {err:.3e}"
 
 
 class TestTrainLoop:
