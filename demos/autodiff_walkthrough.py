@@ -23,7 +23,7 @@ b = Tensor(np.zeros(4, dtype=np.float64))
 
 def network(params):
     h = T.relu(T.conv2d(img, params["w"], params["b"], pad=1))
-    return T.tensor_sum(T.mul(T.global_avg_pool([h]), T.global_avg_pool([h])))
+    return T.tensor_sum(T.mul(T.global_avg_pool(h), T.global_avg_pool(h)))
 
 loss = network({"w": w, "b": b})
 loss.backward()

@@ -17,10 +17,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .errors import AligndetError, ConfigError
 from .metrics import evaluate_dataset
-from .model import ModelConfig, build_model
+from .model import ModelConfig, build_model, checked_fields
 from .report import (
     ensure_dir,
     write_grid_csv,
@@ -92,24 +93,14 @@ def _load_config(path):
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    unknown = set(raw) - {"dataset", "model"}
-    if unknown:
-        raise ConfigError(f"unknown config sections {sorted(unknown)}")
-    return raw
+    return checked_fields(raw, {"dataset": {}, "model": {}}, path)
 
 
 def _dataset_config(raw):
-    section = dict(raw.get("dataset", {}))
-    counts = {
-        "train_count": int(section.pop("train_count", 64)),
-        "val_count": int(section.pop("val_count", 16)),
-    }
-    known = set(DatasetConfig.__dataclass_fields__)
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown dataset config keys {sorted(unknown)}")
+    counts = {"train_count": 64, "val_count": 16}
+    section = checked_fields(raw.get("dataset", {}), {**asdict(DatasetConfig()), **counts},
+                             "dataset config")
+    counts = {key: section.pop(key, n) for key, n in counts.items()}
     return DatasetConfig(**section), counts
 
 

@@ -1,14 +1,15 @@
 """The task-aligned detection head.
 
 One shared stack of N interactive conv features feeds both tasks. Each task
-pools the stack into one layer-attention gate per map, reduces the gated
-stack (X^task_k = w_k * X^inter_k) and predicts: classification scores P
-and box distances B. Two small auxiliary branches then align the
-predictions spatially: a probability map M sharpens P into
-P_align = sqrt(P * M), and an offset map O resamples each distance channel
-of B at a learned nearby location to give B_align. Each of these equations
-is one graph op, and each stage function takes the tensors it reads, so
-the identity probes call them with M = 1, O = 0 or w = 1.
+turns the stack's channel means into one layer-attention gate per map,
+reduces the gated stack (X^task_k = w_k * X^inter_k) and predicts:
+classification scores P and box distances B; the 1x1 reduction takes the
+gates into its weight, so every reduction reads one ungated stack. Two small
+auxiliary branches then align the predictions spatially: a probability map M
+sharpens P into P_align = sqrt(P * M), and an offset map O resamples each
+distance channel of B at a learned nearby location to give B_align. Each of
+these equations is one graph op, and each stage function takes the tensors
+it reads, so the identity probes call them with M = 1, O = 0 or w = 1.
 
 Parameters live in a flat dict of named tensors so the trainer and the
 checkpoint format stay trivial. Shapes at a glance (C channels, N layers,
@@ -144,34 +145,31 @@ def interactive_features(x, params, cfg):
     return maps
 
 
-def layer_attention(inter, params, task):
-    """Per-layer scalar gates w [N] from the pooled interactive maps."""
-    pooled = T.global_avg_pool(inter)
+def layer_attention(pooled, params, task):
+    """Per-layer scalar gates w [N] from the stack's pooled channel means."""
     hidden = T.relu(T.linear(params[f"att.{task}.fc1.w"], params[f"att.{task}.fc1.b"], pooled))
     return T.sigmoid(T.linear(params[f"att.{task}.fc2.w"], params[f"att.{task}.fc2.b"], hidden))
 
 
-def tap_predict(inter, w, params, task):
-    """Gate the stack by w, reduce it and predict; scores for cls, distances for loc.
+def tap_predict(stack, w, params, task):
+    """Reduce the stack, gates w folded into the weight, and predict: cls scores or loc distances.
 
     Localization output is exp(raw): positive distances in stride units,
     alive gradient near zero.
     """
-    z = T.gated_concat(inter, w)
-    reduced = T.relu(
-        T.conv2d(z, params[f"tap.{task}.reduce.w"], params[f"tap.{task}.reduce.b"])
-    )
+    weight = T.gated_weight(params[f"tap.{task}.reduce.w"], w)
+    reduced = T.relu(T.conv2d(stack, weight, params[f"tap.{task}.reduce.b"]))
     raw = T.conv2d(reduced, params[f"tap.{task}.pred.w"], params[f"tap.{task}.pred.b"], pad=1)
     if task == "cls":
         return T.sigmoid(raw)
     return T.exp(raw)
 
 
-def alignment_maps(inter_concat, params):
+def alignment_maps(stack, params):
     """The probability map M [H,W,1] and the offset map O [H,W,8]."""
-    reduced = T.relu(T.conv2d(inter_concat, params["m.reduce.w"], params["m.reduce.b"]))
+    reduced = T.relu(T.conv2d(stack, params["m.reduce.w"], params["m.reduce.b"]))
     M = T.sigmoid(T.conv2d(reduced, params["m.pred.w"], params["m.pred.b"], pad=1))
-    reduced = T.relu(T.conv2d(inter_concat, params["o.reduce.w"], params["o.reduce.b"]))
+    reduced = T.relu(T.conv2d(stack, params["o.reduce.w"], params["o.reduce.b"]))
     O = T.conv2d(reduced, params["o.pred.w"], params["o.pred.b"], pad=1)
     return M, O
 
@@ -194,11 +192,13 @@ def align_localization(B, O):
 def head_forward(x, params, cfg):
     """Full head pass from the [H,W,C] feature map."""
     inter = interactive_features(x, params, cfg)
-    w_cls = layer_attention(inter, params, "cls")
-    w_loc = layer_attention(inter, params, "loc")
-    P = tap_predict(inter, w_cls, params, "cls")
-    B = tap_predict(inter, w_loc, params, "loc")
-    M, O = alignment_maps(T.concat(inter), params)
+    stack = T.concat(inter)
+    pooled = T.global_avg_pool(stack)
+    w_cls = layer_attention(pooled, params, "cls")
+    w_loc = layer_attention(pooled, params, "loc")
+    P = tap_predict(stack, w_cls, params, "cls")
+    B = tap_predict(stack, w_loc, params, "loc")
+    M, O = alignment_maps(stack, params)
     return HeadOutputs(
         P=P, B=B, M=M, O=O,
         P_align=align_classification(P, M), B_align=align_localization(B, O),

@@ -15,9 +15,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .assignment import AnchorGrid
+from .assignment import ALPHA, BETA, TOP_M, AnchorGrid
 from .errors import ConfigError, ShapeError
 from .head import HeadConfig, head_forward, init_head_params
+from .losses import GAMMA
 from .scenes import SplitMix64
 from .tensor import Tensor
 
@@ -37,10 +38,10 @@ class ModelConfig:
     align_channels: int = 8
     prior_prob: float = 0.01
     # assignment / losses
-    alpha: float = 1.0
-    beta: float = 6.0
-    top_m: int = 13
-    gamma: float = 2.0
+    alpha: float = ALPHA
+    beta: float = BETA
+    top_m: int = TOP_M
+    gamma: float = GAMMA
     assigner: str = "aligned"          # "aligned" | "center"
     # optimization
     lr: float = 0.01
@@ -59,8 +60,8 @@ class ModelConfig:
         return s
 
     def validate(self):
-        if len(self.backbone_channels) != len(self.backbone_strides):
-            raise ConfigError("backbone channels and strides differ in length")
+        if not self.backbone_channels or len(self.backbone_channels) != len(self.backbone_strides):
+            raise ConfigError("backbone channels and strides differ in length or are empty")
         if self.backbone_channels[-1] != self.channels:
             raise ConfigError(
                 f"backbone output width {self.backbone_channels[-1]} must match "
@@ -109,14 +110,33 @@ class ModelConfig:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        for key in ("backbone_channels", "backbone_strides"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d).validate()
+        return cls(**checked_fields(d, asdict(cls()), "model config")).validate()
+
+
+def _json_type_matches(value, default):
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_json_type_matches(v, 0) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def checked_fields(section, defaults, what):
+    """A JSON config section as keyword arguments for the fields in ``defaults``.
+
+    Each value must have its default's JSON type, except that an int may
+    stand for a float and a list of ints for a tuple; a bool is never a number.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {json.dumps(section)}")
+    unknown = set(section) - set(defaults)
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
+    for key, value in section.items():
+        if not _json_type_matches(value, defaults[key]):
+            raise ConfigError(f"{what}: {key!r} is {json.dumps(value)}, which does not have "
+                              f"the type of its default {json.dumps(defaults[key])}")
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in section.items()}
 
 
 def init_model_params(cfg):

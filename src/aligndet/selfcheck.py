@@ -90,13 +90,14 @@ def gradient_suite(seeds=(0, 1, 2), tolerance=1e-3):
     return results
 
 
-def identity_suite(forward, image):
+def identity_suite(params, forward, image):
     """The head's three identities, on a model the caller built and perturbed.
 
     Unit M gives P_align^2 = P, zero O gives B_align = B, and unit layer
-    attention gives X^task = X^inter. Each line also needs a finite forward,
-    and the zero-O line needs active offsets (B_align != B; the offset head
-    starts at zero). A failing line leads with the check that failed.
+    attention, folded into a task's reduction weight, leaves it unchanged.
+    Each line also needs a finite forward, and the zero-O line needs active
+    offsets (B_align != B; the offset head starts at zero). A failing line
+    leads with the check that failed.
     """
     out = forward(image)
     dtype = out.P.dtype
@@ -112,15 +113,16 @@ def identity_suite(forward, image):
     B_align = align_localization(out.B, np.zeros(out.O.shape, dtype=dtype))
     exact = np.array_equal(B_align.data, out.B.data)
     active = not np.array_equal(out.B_align.data, out.B.data)
-    stack = T.gated_concat(out.inter, np.ones(len(out.inter), dtype=dtype))
-    same = np.array_equal(stack.data, np.concatenate([m.data for m in out.inter], axis=-1))
+    unit = np.ones(len(out.inter), dtype=dtype)
+    same = all(np.array_equal(T.gated_weight(params[f"tap.{task}.reduce.w"], unit).data,
+                              params[f"tap.{task}.reduce.w"].data) for task in ("cls", "loc"))
     return [
         result("identity/unit-probability-map", gap < 1e-6, f"max |P_align^2 - P| = {gap:.2e}"),
         result("identity/zero-offsets", exact,
                "B_align == B bitwise" if exact else "resampled boxes drifted",
                (active, "offsets inactive, identity is vacuous")),
         result("identity/unit-gates", same,
-               "gated stack == plain stack" if same else "gates leaked into features"),
+               "unit-gated weights == weights bitwise" if same else "gates leaked into weights"),
     ]
 
 
@@ -287,7 +289,7 @@ def run_all(out=None, seed=0):
     image, _ = _fixture_record(2000)
     suites = (
         gradient_suite(seeds=tuple((seed + k) % 2 ** 64 for k in range(3))),
-        identity_suite(forward, image),
+        identity_suite(params, forward, image),
         assignment_suite(seed=seed),
         format_suite(),
     )

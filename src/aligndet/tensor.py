@@ -408,57 +408,43 @@ def concat(tensors, axis=-1):
     return _node(data, tensors, backward_fn)
 
 
-def _same_maps(op, maps):
-    """Lift a non-empty list of [H,W,C] maps; all must share one shape."""
-    maps = [_lift(m, np.float32) for m in maps]
-    if not maps or maps[0].data.ndim != 3:
-        raise ShapeError(f"{op} expects a list of [H,W,C] maps")
-    for m in maps[1:]:
-        if m.shape != maps[0].shape:
-            raise ShapeError(f"{op}: map {m.shape} differs from {maps[0].shape}")
-    return maps
-
-
-def global_avg_pool(maps):
-    """N [H,W,C] maps -> [N*C]: each map's spatial mean, concatenated.
-
-    For C >= 2 this equals the mean of the concatenated maps bit for bit;
-    numpy sums a one-channel map pairwise instead.
-    """
-    maps = _same_maps("global_avg_pool", maps)
-    h, w, c = maps[0].shape
-    data = np.concatenate([m.data.mean(axis=(0, 1)) for m in maps])
+def global_avg_pool(a):
+    """[H,W,C] -> [C]: the spatial mean of each channel."""
+    a = _lift(a, np.float32)
+    if a.data.ndim != 3:
+        raise ShapeError(f"global_avg_pool expects an [H,W,C] map, got {a.shape}")
+    h, w, _ = a.shape
+    data = a.data.mean(axis=(0, 1))
 
     def backward_fn(g):
-        g = g / (h * w)
-        for k, m in enumerate(maps):
-            _accum_shared(m, np.broadcast_to(g[k * c:(k + 1) * c], m.shape))
+        _accum_shared(a, np.broadcast_to(g / (h * w), a.shape))
 
-    return _node(data, maps, backward_fn)
+    return _node(data, (a,), backward_fn)
 
 
-def gated_concat(maps, w):
-    """concat(maps[k] * w[k]) along channels: N [H,W,C] maps, one gate each.
+def gated_weight(weight, w):
+    """A 1x1 conv weight [1,1,N*C,Cout] with input block k scaled by w[k].
 
-    Map k gets g_k * w[k] and w[k] gets sum(g_k * maps[k]), where g_k is
-    the gradient's channel block k.
+    Convolving concat(maps) with it is convolving concat(maps[k] * w[k])
+    with ``weight``, up to rounding; w = 1 gives ``weight`` bit for bit.
+    Block k of the weight gets g_k * w[k] and w[k] gets sum(g_k * weight_k).
     """
-    maps = _same_maps("gated_concat", maps)
-    w = _lift(w, maps[0].dtype)
-    n, c = len(maps), maps[0].shape[2]
-    if w.shape != (n,):
-        raise ShapeError(f"gated_concat: {n} maps need [{n}] gates, got {w.shape}")
-    data = np.concatenate([m.data * w.data[k] for k, m in enumerate(maps)], axis=-1)
+    weight = _lift(weight, np.float32)
+    w = _lift(w, weight.dtype)
+    n = w.shape[0] if w.data.ndim == 1 else 0
+    if weight.data.ndim != 4 or weight.shape[:2] != (1, 1) or n == 0 or weight.shape[2] % n:
+        raise ShapeError(
+            f"gated_weight: weight {weight.shape} is not [1,1,N*C,Cout] for gates {w.shape}"
+        )
+    blocks = weight.data.reshape(n, -1)
+    data = (blocks * w.data[:, None]).reshape(weight.shape)
 
     def backward_fn(g):
-        dw = np.empty(n, dtype=w.dtype)
-        for k, m in enumerate(maps):
-            g_k = g[..., k * c:(k + 1) * c]
-            _accum(m, g_k * w.data[k])
-            dw[k] = (g_k * m.data).sum()
-        _accum(w, dw)
+        g_blocks = g.reshape(n, -1)
+        _accum(weight, (g_blocks * w.data[:, None]).reshape(weight.shape))
+        _accum(w, (g_blocks * blocks).sum(axis=1))
 
-    return _node(data, maps + [w], backward_fn)
+    return _node(data, (weight, w), backward_fn)
 
 
 def linear(weight, bias, x):

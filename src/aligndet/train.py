@@ -216,19 +216,19 @@ def load_checkpoint(path):
     entries = []
     for line in lines:
         kind, _, rest = line.partition(" ")
-        if kind == "step":
-            step = int(rest)
-        elif kind == "config":
-            config_json = rest
-        elif kind == "param":
-            try:
-                name, dims, offset = rest.rsplit(" ", 2)
-            except ValueError:
-                raise CheckpointError(f"malformed manifest line: {line!r}") from None
-            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
-            entries.append((name, shape, int(offset)))
-        else:
+        if kind not in ("step", "config", "param"):
             raise CheckpointError(f"unknown manifest entry: {line!r}")
+        try:
+            if kind == "step":
+                step = int(rest)
+            elif kind == "config":
+                config_json = rest
+            else:
+                name, dims, offset = rest.rsplit(" ", 2)
+                shape = () if dims == "scalar" else tuple(int(d) for d in dims.split(","))
+                entries.append((name, shape, int(offset)))
+        except ValueError:
+            raise CheckpointError(f"malformed manifest line: {line!r}") from None
     params = {}
     cursor = 0
     for name, shape, offset in entries:

@@ -2,11 +2,14 @@
 
 Everything here is written against the documented behavior, in plain
 Python loops, with none of the library's vectorized code paths, except
-two bitwise references: ``conv2d_reference`` keeps an earlier numpy conv2d,
-and ``head_forward_reference`` an earlier composition of the head from
-smaller ops, whose values and gradients the library's must reproduce bit
-for bit. Test files compare library
-output against these. The detection oracles (NMS, box census, AP) take
+the numpy references: ``conv2d_reference`` keeps an earlier numpy conv2d
+and ``gated_weight_reference`` scales the weight block by block, both
+matched bit for bit, and ``head_forward_reference`` composes the head as
+the paper writes it, gating each interactive map before the reduction.
+The library's head folds the gates into the reduction weights instead, so
+it matches that reference bit for bit where the fold does not reach and
+up to rounding where it does. Test files compare library output against
+these. The detection oracles (NMS, box census, AP) take
 each IoU from the library's pairwise_iou on one box at a time, so the
 vectorized code must match them with ==, not approximately.
 """
@@ -110,16 +113,25 @@ def select_channels_reference(a, indices):
     return _node(data, (a,), backward_fn)
 
 
-def global_avg_pool_reference(a):
-    """[H,W,C] -> [C] spatial mean."""
-    a = _lift(a, np.float32)
-    h, w, _ = a.shape
-    data = a.data.mean(axis=(0, 1))
+def gated_weight_reference(weight, w):
+    """A [1,1,N*C,Cout] weight with input block k times w[k], block by block."""
+    weight = _lift(weight, np.float32)
+    w = _lift(w, weight.dtype)
+    n = w.shape[0]
+    c = weight.shape[2] // n
+    blocks = [slice(k * c, (k + 1) * c) for k in range(n)]
+    data = np.concatenate([weight.data[:, :, b] * w.data[k] for k, b in enumerate(blocks)],
+                          axis=2)
 
     def backward_fn(g):
-        _accum(a, np.broadcast_to(g / (h * w), a.shape))
+        _accum(weight, np.concatenate([g[:, :, b] * w.data[k] for k, b in enumerate(blocks)],
+                                      axis=2))
+        dw = np.empty(n, dtype=w.dtype)
+        for k, b in enumerate(blocks):
+            dw[k] = (g[:, :, b] * weight.data[:, :, b]).sum()
+        _accum(w, dw)
 
-    return _node(data, (a,), backward_fn)
+    return _node(data, (weight, w), backward_fn)
 
 
 def bilinear_sample_coords_reference(feature_map, rows, cols):
@@ -161,15 +173,16 @@ def head_forward_reference(x, params, cfg):
     """The head built from the ops above and the library's unchanged ops.
 
     Each task pools a concat of the interactive maps, gates map k by
-    ``take_channel(w, k)`` with one ``mul`` each and concatenates the gated
-    maps; B_align samples at ``select_channels(O, ...)`` plus a constant
-    cell grid. Returns the outputs by their ``HeadOutputs`` names.
+    ``take_channel(w, k)`` with one ``mul`` each and reduces the concat of
+    the gated maps with the plain weight; B_align samples at
+    ``select_channels(O, ...)`` plus a constant cell grid. Returns the
+    outputs by their ``HeadOutputs`` names.
     """
     inter = interactive_features(x, params, cfg)
     inter_concat = T.concat(inter)
 
     def task_branch(task):
-        pooled = global_avg_pool_reference(T.concat(inter))
+        pooled = T.global_avg_pool(T.concat(inter))
         hidden = T.relu(T.linear(params[f"att.{task}.fc1.w"], params[f"att.{task}.fc1.b"],
                                  pooled))
         w = T.sigmoid(T.linear(params[f"att.{task}.fc2.w"], params[f"att.{task}.fc2.b"], hidden))

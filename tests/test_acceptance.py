@@ -80,7 +80,7 @@ def _away_from_zero(rng, shape, margin=0.15):
 def _op_cases(rng):
     """One (name, params, build) triple per differentiable op.
 
-    Structural ops (concat, gated_concat, ...) are multiplied by a fixed
+    Structural ops (concat, gated_weight, ...) are multiplied by a fixed
     probe constant before the reducing sum, otherwise any permutation of
     their gradient would sum to the same scalar and pass by accident.
     """
@@ -113,26 +113,23 @@ def _op_cases(rng):
         )
     )
 
-    probe_gate = 0.5 + rng.random((2, 3, 12))
+    probe_gate = 0.5 + rng.random((1, 1, 12, 2))
     cases.append(
         (
-            "gated_concat",
-            {"a": rng.random((2, 3, 4)), "b": rng.random((2, 3, 4)),
-             "c": rng.random((2, 3, 4)), "w": rng.random(3) - 0.5},
+            "gated_weight",
+            {"weight": rng.random((1, 1, 12, 2)) - 0.5, "w": rng.random(3) - 0.5},
             lambda p: T.tensor_sum(
-                T.mul(T.gated_concat([p["a"], p["b"], p["c"]], p["w"]), Tensor(probe_gate))
+                T.mul(T.gated_weight(p["weight"], p["w"]), Tensor(probe_gate))
             ),
         )
     )
 
-    probe_pool = 0.5 + rng.random(10)
+    probe_pool = 0.5 + rng.random(5)
     cases.append(
         (
             "global_avg_pool",
-            {"a": rng.random((3, 4, 5)), "b": rng.random((3, 4, 5))},
-            lambda p: T.tensor_sum(
-                T.mul(T.global_avg_pool([p["a"], p["b"]]), Tensor(probe_pool))
-            ),
+            {"a": rng.random((3, 4, 5))},
+            lambda p: T.tensor_sum(T.mul(T.global_avg_pool(p["a"]), Tensor(probe_pool))),
         )
     )
 
@@ -336,7 +333,7 @@ def test_c2_equation_identities():
         params, forward = build_model(cfg)
         rng = selfcheck._perturb(params, 70 + idx, scale)
         image = rng.uniform((cfg.image_size, cfg.image_size, 3)).astype(np.float32)
-        for name, passed, detail in selfcheck.identity_suite(forward, image):
+        for name, passed, detail in selfcheck.identity_suite(params, forward, image):
             if not passed:
                 failures.append(f"config {idx} {name}: {detail}")
             if name == "identity/unit-probability-map":

@@ -1,10 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from aligndet.cli import main
+from aligndet.errors import CheckpointError
+from aligndet.model import ModelConfig
 from aligndet.scenes import read_dataset, write_dataset
 from aligndet.train import load_checkpoint
 
@@ -45,6 +48,32 @@ def checkpoint(tmp_path, cfg_path, generated):
                  "--dataset", str(generated / "train.tdset"), "--out", str(out)])
     assert code == 0
     return out / "checkpoint"
+
+
+# (section, replacement or fields to update) of the wrong JSON type, each on
+# top of a working config: each must exit 2 with an error line, never a
+# traceback, a silent default or a run
+BAD_MODEL = [
+    ("model", 5), ("model", []), ("model", {"steps": "ten"}), ("model", {"image_size": "128"}),
+    ("model", {"steps": True}), ("model", {"lr": "0.1"}), ("model", {"seed": 1.5}),
+    ("model", {"backbone_strides": [2, 2, True, 1]}), ("model", {"backbone_strides": 2}),
+    ("model", {"backbone_channels": [], "backbone_strides": []}),
+]
+BAD_DATASET = [
+    ("dataset", []), ("dataset", {"image_size": "64"}), ("dataset", {"train_count": "x"}),
+    ("dataset", {"val_count": False}), ("dataset", {"occlusion_allowed": 1}),
+]
+
+
+def bad_config(tmp_path, section, value):
+    raw = config_dict()
+    if isinstance(value, dict):
+        raw[section].update(value)
+    else:
+        raw[section] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 class TestUsageErrors:
@@ -121,6 +150,13 @@ class TestGen:
         bad.write_text(json.dumps({"dataset": {"image_siez": 64}}))
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("section,value", BAD_MODEL + BAD_DATASET)
+    def test_wrong_json_type(self, tmp_path, capsys, section, value):
+        bad = bad_config(tmp_path, section, value)
+        assert main(["gen", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrain:
     def test_outputs(self, tmp_path, cfg_path, generated, checkpoint):
@@ -152,6 +188,18 @@ class TestTrain:
         assert main(["train", "--config", str(bad),
                      "--dataset", str(generated / "train.tdset"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("section,value", BAD_MODEL)
+    def test_wrong_json_type(self, tmp_path, generated, capsys, section, value):
+        bad = bad_config(tmp_path, section, value)
+        assert main(["train", "--config", bad, "--dataset", str(generated / "train.tdset"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_numbers_and_lists_where_the_defaults_want_them(self):
+        # an int may stand for a float, and a list of ints for a tuple
+        cfg = ModelConfig.from_json('{"lr": 1, "backbone_strides": [2, 2, 2, 1]}')
+        assert cfg.lr == 1 and cfg.backbone_strides == (2, 2, 2, 1)
 
     def test_missing_dataset(self, tmp_path, cfg_path):
         assert main(["train", "--config", cfg_path,
@@ -186,6 +234,28 @@ class TestEval:
         out = tmp_path / "eval3"
         assert main(["eval", "--dataset", str(generated / "val.tdset"),
                      "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("field", ["step", "dims", "offset"])
+    def test_non_integer_manifest_field(self, tmp_path, generated, checkpoint, capsys, field):
+        # a manifest number that does not parse names its line, in the
+        # loader and on the command line, instead of raising a bare ValueError
+        manifest = checkpoint / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        at = 0 if field == "step" else next(i for i, line in enumerate(lines)
+                                            if line.startswith("param "))
+        kind, rest = lines[at].split(" ", 1)
+        if field == "step":
+            lines[at] = "step three"
+        else:
+            name, dims, offset = rest.rsplit(" ", 2)
+            dims = "3,x,3,4" if field == "dims" else dims
+            lines[at] = f"param {name} {dims} {'zero' if field == 'offset' else offset}"
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match=re.escape(repr(lines[at]))):
+            load_checkpoint(checkpoint)
+        assert main(["eval", "--dataset", str(generated / "val.tdset"),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")]) == 2
+        assert repr(lines[at]) in capsys.readouterr().err
 
     def test_missing_checkpoint_dir(self, tmp_path, generated):
         assert main(["eval", "--dataset", str(generated / "val.tdset"),
@@ -266,7 +336,7 @@ class TestGradcheck:
         params, forward = build_model(selfcheck._check_cfg(seed=7))
         selfcheck._perturb(params, 123)
         image, _ = selfcheck._fixture_record(2000)
-        results = selfcheck.identity_suite(forward, image) + selfcheck.format_suite()
+        results = selfcheck.identity_suite(params, forward, image) + selfcheck.format_suite()
         for name, ok, detail in results:
             assert ok, f"{name}: {detail}"
 

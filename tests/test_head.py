@@ -133,27 +133,34 @@ class TestAttention:
     def test_gates_in_open_interval(self):
         cfg = small_cfg(num_layers=3)
         params = perturbed_params(cfg)
-        inter = interactive_features(random_input(cfg), params, cfg)
-        w = layer_attention(inter, params, "cls")
+        pooled = T.global_avg_pool(T.concat(interactive_features(random_input(cfg), params, cfg)))
+        w = layer_attention(pooled, params, "cls")
         assert w.shape == (3,)
         assert np.all(w.data > 0) and np.all(w.data < 1)
 
     def test_one_hot_gates_select_layer(self):
+        # gates [0, 1, 0] folded into the reduction weight keep only layer
+        # 1's block, so the reduction reads layer 1 alone
         cfg = small_cfg(num_layers=3)
         params = perturbed_params(cfg)
         inter = interactive_features(random_input(cfg), params, cfg)
-        stack = T.gated_concat(inter, np.array([0.0, 1.0, 0.0]))
+        weight = params["tap.cls.reduce.w"]
+        folded = T.gated_weight(weight, np.array([0.0, 1.0, 0.0], dtype=np.float32))
         c = cfg.channels
-        assert np.all(stack.data[..., :c] == 0)
-        assert np.array_equal(stack.data[..., c:2 * c], inter[1].data)
-        assert np.all(stack.data[..., 2 * c:] == 0)
+        assert np.all(folded.data[:, :, :c] == 0)
+        assert np.array_equal(folded.data[:, :, c:2 * c], weight.data[:, :, c:2 * c])
+        assert np.all(folded.data[:, :, 2 * c:] == 0)
+        bias = np.zeros(cfg.channels, dtype=np.float32)
+        reduced = T.conv2d(T.concat(inter), folded, bias)
+        alone = T.conv2d(inter[1], weight.data[:, :, c:2 * c], bias)
+        assert np.allclose(reduced.data, alone.data, rtol=1e-5, atol=1e-6)
 
     def test_tasks_share_stack_but_not_gates(self):
         cfg = small_cfg(num_layers=3)
         params = perturbed_params(cfg)
-        inter = interactive_features(random_input(cfg), params, cfg)
-        w_cls = layer_attention(inter, params, "cls")
-        w_loc = layer_attention(inter, params, "loc")
+        pooled = T.global_avg_pool(T.concat(interactive_features(random_input(cfg), params, cfg)))
+        w_cls = layer_attention(pooled, params, "cls")
+        w_loc = layer_attention(pooled, params, "loc")
         assert not np.array_equal(w_cls.data, w_loc.data)
 
 
@@ -163,16 +170,18 @@ class TestTap:
         params = init_head_params(cfg)
         params["tap.cls.pred.b"].data = np.zeros_like(params["tap.cls.pred.b"].data)
         params["tap.cls.pred.w"].data = np.zeros_like(params["tap.cls.pred.w"].data)
-        inter = interactive_features(random_input(cfg), params, cfg)
-        P = tap_predict(inter, layer_attention(inter, params, "cls"), params, "cls")
+        stack = T.concat(interactive_features(random_input(cfg), params, cfg))
+        P = tap_predict(stack, layer_attention(T.global_avg_pool(stack), params, "cls"), params,
+                        "cls")
         assert np.allclose(P.data, 0.5)
 
     def test_zero_weights_give_unit_distances(self):
         cfg = small_cfg()
         params = init_head_params(cfg)
         params["tap.loc.pred.w"].data = np.zeros_like(params["tap.loc.pred.w"].data)
-        inter = interactive_features(random_input(cfg), params, cfg)
-        B = tap_predict(inter, layer_attention(inter, params, "loc"), params, "loc")
+        stack = T.concat(interactive_features(random_input(cfg), params, cfg))
+        B = tap_predict(stack, layer_attention(T.global_avg_pool(stack), params, "loc"), params,
+                        "loc")
         assert np.allclose(B.data, 1.0)  # exp(0), one stride unit
 
     def test_audit_shapes_at_80_classes(self):
@@ -275,8 +284,11 @@ class TestForward:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_bitwise(self, dtype, n, c, h, w, k, seed):
-        # every output, parameter gradient and the input gradient equal the
-        # head composed from per-channel ops, bit for bit and sign of zero
+        # against the head as the paper writes it, gating each map before
+        # the reduction: the values the gate fold does not reach (inter, M,
+        # O and the gates) match bit for bit and sign of zero; the folded
+        # reductions' outputs and every gradient round differently, so in
+        # float64 they match within 1e-12 of each array's largest magnitude
         cfg = HeadConfig(channels=c, num_layers=n, num_classes=k,
                          attention_ratio=4, align_channels=4)
         rng = np.random.default_rng(seed)
@@ -285,20 +297,24 @@ class TestForward:
         probe_b = rng.normal(size=(h, w, 4)).astype(dtype)
         nudged = {name: (p.data + rng.normal(size=p.shape) * 0.1).astype(dtype)
                   for name, p in init_head_params(cfg, seed=seed % 997).items()}
-        runs = []
+        exact, folded = [], []
         for forward in (head_forward, head_forward_reference):
             params = {name: Tensor(a) for name, a in nudged.items()}
             xt = Tensor(x)
             out = forward(xt, params, cfg)
             T.add(T.tensor_sum(T.mul(out.P_align, Tensor(probe_p))),
                   T.tensor_sum(T.mul(out.B_align, Tensor(probe_b)))).backward()
-            got = [getattr(out, f).data for f in
-                   ("P", "B", "M", "O", "P_align", "B_align", "w_cls", "w_loc")]
-            got += [m.data for m in out.inter] + [xt.grad]
-            got += [params[name].grad for name in sorted(params)]
-            runs.append(got)
-        for got, want in zip(*runs):
+            exact.append([getattr(out, f).data for f in ("M", "O", "w_cls", "w_loc")]
+                         + [m.data for m in out.inter])
+            folded.append([getattr(out, f).data for f in ("P", "B", "P_align", "B_align")]
+                          + [xt.grad] + [params[name].grad for name in sorted(params)])
+        for got, want in zip(*exact):
             assert np.all(np.isfinite(want))
             assert got.dtype == dtype and got.shape == want.shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+        for got, want in zip(*folded):
+            assert np.all(np.isfinite(want))
+            assert got.dtype == dtype and got.shape == want.shape
+            if dtype == np.float64:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

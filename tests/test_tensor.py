@@ -6,9 +6,8 @@ from oracle_utils import (
     bilinear_sample_coords_reference,
     bilinear_sample_reference,
     conv2d_reference,
-    global_avg_pool_reference,
+    gated_weight_reference,
     select_channels_reference,
-    take_channel_reference,
 )
 
 from aligndet import tensor as T
@@ -52,19 +51,22 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.giou_loss(Tensor(np.ones((2, 2, 4))), [0, 3], np.zeros((2, 2)), np.zeros((1, 4)),
                         np.ones(2), 8, 1.0)
-        maps = [Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5)))]
         with pytest.raises(ShapeError):
-            T.gated_concat(maps, np.ones(2))
+            T.global_avg_pool(Tensor(np.ones((2, 3))))
+        weight = Tensor(np.ones((1, 1, 6, 2)))
         with pytest.raises(ShapeError):
-            T.global_avg_pool(maps)
+            T.gated_weight(weight, np.ones(4))
         with pytest.raises(ShapeError):
-            T.gated_concat(maps[:1] * 2, np.ones(3))
+            T.gated_weight(weight, np.ones((2, 1)))
         with pytest.raises(ShapeError):
-            T.gated_concat(maps[:1] * 2, np.ones((2, 1)))
+            T.gated_weight(weight, np.ones(0))
         with pytest.raises(ShapeError):
-            T.bilinear_sample_per_channel(maps[0], np.zeros((2, 3, 4)))
+            T.gated_weight(Tensor(np.ones((3, 3, 6, 2))), np.ones(2))
+        m = Tensor(np.ones((2, 3, 4)))
         with pytest.raises(ShapeError):
-            T.bilinear_sample_per_channel(maps[0], np.zeros((3, 2, 8)))
+            T.bilinear_sample_per_channel(m, np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            T.bilinear_sample_per_channel(m, np.zeros((3, 2, 8)))
 
     def test_sigmoid_known_points(self):
         x = Tensor([0.0, 100.0, -100.0])
@@ -148,49 +150,53 @@ class TestForwardValues:
     def test_global_avg_pool(self):
         m = Tensor(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
         # channel 0 holds 0,2,4,6 -> mean 3; channel 1 holds 1,3,5,7 -> mean 4
-        assert np.allclose(T.global_avg_pool([m]).data, [3.0, 4.0])
-        # a second map's means follow the first's
+        assert np.allclose(T.global_avg_pool(m).data, [3.0, 4.0])
+        # each channel of a concat keeps its own mean
         doubled = Tensor(2.0 * m.data)
-        assert np.allclose(T.global_avg_pool([m, doubled]).data, [3.0, 4.0, 6.0, 8.0])
+        assert np.allclose(T.global_avg_pool(T.concat([m, doubled])).data, [3.0, 4.0, 6.0, 8.0])
 
-    @given(n=st.integers(1, 4), c=st.integers(2, 5), h=st.integers(1, 5), w=st.integers(1, 5),
+    def test_gated_weight(self):
+        # input block k of a [1,1,N*C,Cout] weight is scaled by w[k]; unit
+        # gates give the weight back bit for bit
+        weight = np.arange(12, dtype=np.float32).reshape(1, 1, 6, 2)
+        gated = T.gated_weight(Tensor(weight), np.array([2.0, 0.0, -1.0], dtype=np.float32))
+        assert np.array_equal(gated.data.reshape(3, 4),
+                              weight.reshape(3, 4) * np.array([[2.0], [0.0], [-1.0]]))
+        unit = T.gated_weight(Tensor(weight), np.ones(3, dtype=np.float32))
+        assert np.array_equal(unit.data, weight)
+
+    @given(n=st.integers(1, 4), c=st.integers(1, 5), cout=st.integers(1, 4),
+           h=st.integers(1, 5), w=st.integers(1, 5),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_fused_ops_match_reference_bitwise(self, n, c, h, w, dtype, seed):
-        # pooling, gating and offset sampling against the per-channel ops
-        # they replace; the offsets reach past the border, so some samples
-        # clamp and their offset gradients are signed zeros. C starts at 2:
-        # one-channel maps pool pairwise (see global_avg_pool's docstring)
+    def test_fused_ops_match_reference_bitwise(self, n, c, cout, h, w, dtype, seed):
+        # gate folding and offset sampling against the block-by-block and
+        # per-channel ops they replace; the offsets reach past the border,
+        # so some samples clamp and their offset gradients are signed zeros
         rng = np.random.default_rng(seed)
-        maps = rng.normal(size=(n, h, w, c)).astype(dtype)
+        weight = rng.normal(size=(1, 1, n * c, cout)).astype(dtype)
         gates = rng.normal(size=n).astype(dtype)
+        maps = rng.normal(size=(h, w, c)).astype(dtype)
         offs = rng.uniform(-1.5 * max(h, w), 1.5 * max(h, w), size=(h, w, 2 * c)).astype(dtype)
-        g_pool = rng.normal(size=n * c).astype(dtype)
-        g_gate = rng.normal(size=(h, w, n * c)).astype(dtype)
+        g_gate = rng.normal(size=(1, 1, n * c, cout)).astype(dtype)
         g_samp = rng.normal(size=(h, w, c)).astype(dtype)
         ii, jj = np.mgrid[0:h, 0:w]
         grid_i = np.repeat(ii[:, :, None], c, axis=2).astype(dtype)
         grid_j = np.repeat(jj[:, :, None], c, axis=2).astype(dtype)
         runs = []
         for fused in (True, False):
-            ms, wt, ot = [Tensor(m) for m in maps], Tensor(gates), Tensor(offs)
-            src = Tensor(maps[0])
+            wgt, gt, src, ot = Tensor(weight), Tensor(gates), Tensor(maps), Tensor(offs)
             if fused:
-                pooled = T.global_avg_pool(ms)
-                gated = T.gated_concat(ms, wt)
+                gated = T.gated_weight(wgt, gt)
                 sampled = T.bilinear_sample_per_channel(src, ot)
             else:
-                pooled = global_avg_pool_reference(T.concat(ms))
-                gated = T.concat([T.mul(m, take_channel_reference(wt, k))
-                                  for k, m in enumerate(ms)])
+                gated = gated_weight_reference(wgt, gt)
                 rows = T.add(select_channels_reference(ot, range(0, 2 * c, 2)), Tensor(grid_i))
                 cols = T.add(select_channels_reference(ot, range(1, 2 * c, 2)), Tensor(grid_j))
                 sampled = bilinear_sample_coords_reference(src, rows, cols)
-            loss = T.add(T.tensor_sum(T.mul(pooled, Tensor(g_pool))),
-                         T.tensor_sum(T.mul(gated, Tensor(g_gate))))
-            T.add(loss, T.tensor_sum(T.mul(sampled, Tensor(g_samp)))).backward()
-            runs.append([pooled.data, gated.data, sampled.data, wt.grad, ot.grad, src.grad]
-                        + [m.grad for m in ms])
+            T.add(T.tensor_sum(T.mul(gated, Tensor(g_gate))),
+                  T.tensor_sum(T.mul(sampled, Tensor(g_samp)))).backward()
+            runs.append([gated.data, sampled.data, wgt.grad, gt.grad, ot.grad, src.grad])
         for got, want in zip(*runs):
             assert got.dtype == dtype and got.shape == want.shape
             assert np.array_equal(got, want)
@@ -445,7 +451,7 @@ class TestGradCheck:
 
         def build(p):
             y = T.relu(T.conv2d(p["x"], p["w"], p["b"], stride=2, pad=1))
-            pooled = T.global_avg_pool([y])
+            pooled = T.global_avg_pool(y)
             return T.tensor_sum(T.sigmoid(T.linear(p["fw"], p["fb"], pooled)))
 
         fd_check(build, params)
@@ -476,12 +482,14 @@ class TestGradCheck:
             "b": Tensor(rng.normal(size=(2, 2, 2)).astype(np.float32)),
             "c": Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32)),
             "w": Tensor(rng.normal(size=2).astype(np.float32)),
+            "weight": Tensor(rng.normal(size=(1, 1, 6, 2)).astype(np.float32)),
         }
 
         def build(p):
             joined = T.concat([p["a"], p["b"]])
-            gated = T.gated_concat([p["a"], p["c"]], p["w"])
-            pooled = T.global_avg_pool([p["c"], p["a"]])
+            stack = T.concat([p["a"], p["c"]])
+            gated = T.conv2d(stack, T.gated_weight(p["weight"], p["w"]), np.zeros(2))
+            pooled = T.global_avg_pool(stack)
             total = T.add(T.tensor_sum(T.mul(joined, joined)), T.tensor_sum(T.mul(gated, gated)))
             return T.add(total, T.tensor_sum(T.mul(pooled, pooled)))
 
