@@ -24,12 +24,13 @@ instances = [
 ]
 
 result = assign(instances, grid, p_align, b_align, m=5)
+scores = p_align.reshape(grid.count, -1)
 print(f"{result.num_positive} positive anchors out of {grid.count}")
 for n, (box, cls) in enumerate(instances):
     anchors = result.positives_of(n)
     print(f"\ninstance {n} (class {cls}, box {box.x1:.0f},{box.y1:.0f},{box.x2:.0f},{box.y2:.0f}):")
     for a in anchors:
-        print(f"  anchor {a:2d}: s={result.s[a]:.3f} u={result.u[a]:.3f} "
+        print(f"  anchor {a:2d}: s={scores[a, cls]:.3f} u={result.u[a]:.3f} "
               f"t={result.t[a]:.4f} t_hat={result.t_hat[a]:.4f}")
     if anchors.size:
         print(f"  max t_hat {result.t_hat[anchors].max():.4f} == max u "

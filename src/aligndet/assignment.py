@@ -89,7 +89,6 @@ class Assignment:
     is_positive: np.ndarray      # bool
     instance_index: np.ndarray   # int64, -1 for negatives
     matched_class: np.ndarray    # int64, -1 for negatives
-    s: np.ndarray                # score at the matched class (0 if negative)
     u: np.ndarray                # IoU with the matched instance (0 if negative)
     t: np.ndarray                # alignment metric (0 if negative)
     t_hat: np.ndarray            # normalized soft label in [0,1]
@@ -107,7 +106,6 @@ def _empty_assignment(n):
         is_positive=np.zeros(n, dtype=bool),
         instance_index=np.full(n, -1, dtype=np.int64),
         matched_class=np.full(n, -1, dtype=np.int64),
-        s=np.zeros(n, dtype=np.float64),
         u=np.zeros(n, dtype=np.float64),
         t=np.zeros(n, dtype=np.float64),
         t_hat=np.zeros(n, dtype=np.float64),
@@ -165,7 +163,6 @@ def assign(instances, grid, p_align, b_align, m=TOP_M, alpha=ALPHA, beta=BETA):
         out.is_positive[a] = True
         out.instance_index[a] = best
         out.matched_class[a] = classes[best]
-        out.s[a] = s[a, best]
         out.u[a] = u[a, best]
         out.t[a] = t[a, best]
 

@@ -31,7 +31,7 @@ from .report import (
     write_single_report_csv,
 )
 from .scenes import DatasetConfig, make_dataset, train_seeds, val_seeds, write_dataset, read_dataset
-from .train import adopt_params, load_checkpoint, train
+from .train import adopt_params, check_records, load_checkpoint, train
 
 _U64 = 2 ** 64
 
@@ -141,8 +141,6 @@ def _cmd_train(args):
     cfg = _model_config(raw)
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.validate()
-    ensure_dir(args.out)
     _, history = train(cfg, args.dataset, args.out, progress=_progress)
     if history:
         rows = [dict(step=i, **h) for i, h in enumerate(history)]
@@ -167,21 +165,10 @@ def _restore(checkpoint, config_path):
     return cfg, forward, step
 
 
-def _check_records(records, cfg, path):
-    if not records:
-        raise ConfigError(f"dataset {path} holds no scenes")
-    for rec in records:
-        if rec.image.shape[0] != cfg.image_size:
-            raise ConfigError(
-                f"dataset {path} holds {rec.image.shape[0]}px scenes, model expects "
-                f"{cfg.image_size}px"
-            )
-
-
 def _cmd_eval(args):
     cfg, forward, step = _restore(args.checkpoint, args.config)
     records = read_dataset(args.dataset)
-    _check_records(records, cfg, args.dataset)
+    check_records(records, cfg, args.dataset)
     score_maps = []
 
     def forward_keeping_first(image):
@@ -206,7 +193,7 @@ def _cmd_analyze(args):
     rows = []
     for label, path in (("model", args.checkpoint), ("baseline", args.baseline)):
         cfg, forward, _ = _restore(path, args.config)
-        _check_records(records, cfg, args.dataset)
+        check_records(records, cfg, args.dataset)
         rows.append((label, evaluate_dataset(forward, records, cfg.grid())))
     ensure_dir(args.out)
     write_report_csv(os.path.join(args.out, "analyze_report.csv"), rows)

@@ -33,31 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .scenes import SplitMix64
 from .tensor import Tensor
-
-
-@dataclass
-class HeadConfig:
-    channels: int = 64          # C
-    num_layers: int = 6         # N
-    num_classes: int = 3        # K
-    attention_ratio: int = 4    # r
-    align_channels: int = 8     # width of the M/O reduction convs
-    prior_prob: float = 0.01    # initial positive rate for score logits
-
-    def validate(self):
-        if self.channels < 1 or self.num_layers < 1 or self.num_classes < 1:
-            raise ConfigError(f"invalid head dimensions {self}")
-        if self.channels % self.attention_ratio != 0:
-            raise ConfigError(
-                f"channels {self.channels} not divisible by attention ratio "
-                f"{self.attention_ratio}"
-            )
-        if not 0.0 < self.prior_prob < 1.0:
-            raise ConfigError(f"prior_prob must be in (0,1), got {self.prior_prob}")
-        return self
 
 
 @dataclass
@@ -84,13 +62,12 @@ def _he_fc(rng, out_dim, in_dim):
 
 
 def init_head_params(cfg, seed=0):
-    """Fresh head parameters from a seeded counter-based stream.
+    """Fresh head parameters for a ``ModelConfig`` from a seeded counter-based stream.
 
     Score-logit biases start at -log((1-pi)/pi) so initial scores sit near
     the prior; the M and O prediction layers start at zero so alignment
     begins as the identity (M = 0.5 everywhere, O = 0).
     """
-    cfg.validate()
     rng = SplitMix64(seed)
     c, n, k = cfg.channels, cfg.num_layers, cfg.num_classes
     nc = n * c

@@ -252,8 +252,7 @@ def average_precision(image_dets, image_gts):
     return float(np.mean(ap50_per_class)), float(np.mean(ap_per_class))
 
 
-def evaluate_dataset(forward, records, grid, score_floor=0.05, nms_iou=0.6,
-                     k1=50, k2=10):
+def evaluate_dataset(forward, records, grid):
     """Run the model over records and fold everything into one report."""
     pools = []
     image_dets = []
@@ -262,12 +261,11 @@ def evaluate_dataset(forward, records, grid, score_floor=0.05, nms_iou=0.6,
     for rec in records:
         out = forward(rec.image)
         pools.extend(instance_pools(out.P_align.data, out.B_align.data, rec.instances, grid))
-        dets = detections_from_outputs(out.P_align.data, out.B_align.data, grid,
-                                       score_floor=score_floor, nms_iou=nms_iou)
+        dets = detections_from_outputs(out.P_align.data, out.B_align.data, grid)
         totals += np.array(box_census(dets, rec.instances))
         image_dets.append(dets)
         image_gts.append(rec.instances)
-    pcc50, iou10 = alignment_analysis(pools, k1=k1, k2=k2)
+    pcc50, iou10 = alignment_analysis(pools)
     ap50, ap = average_precision(image_dets, image_gts)
     return AlignmentReport(
         pcc_top50=pcc50,

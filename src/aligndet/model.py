@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .assignment import ALPHA, BETA, TOP_M, AnchorGrid
 from .errors import ConfigError, ShapeError
-from .head import HeadConfig, head_forward, init_head_params
+from .head import head_forward, init_head_params
 from .losses import GAMMA
 from .scenes import SplitMix64
 from .tensor import Tensor
@@ -62,6 +62,10 @@ class ModelConfig:
     def validate(self):
         if not self.backbone_channels or len(self.backbone_channels) != len(self.backbone_strides):
             raise ConfigError("backbone channels and strides differ in length or are empty")
+        for name in ("image_size", "num_classes", "backbone_channels", "backbone_strides",
+                     "channels", "num_layers", "attention_ratio", "align_channels"):
+            if np.min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.backbone_channels[-1] != self.channels:
             raise ConfigError(
                 f"backbone output width {self.backbone_channels[-1]} must match "
@@ -71,6 +75,13 @@ class ModelConfig:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by stride {self.stride}"
             )
+        if self.channels % self.attention_ratio != 0:
+            raise ConfigError(
+                f"channels {self.channels} not divisible by attention ratio "
+                f"{self.attention_ratio}"
+            )
+        if not 0.0 < self.prior_prob < 1.0:
+            raise ConfigError(f"prior_prob must be in (0,1), got {self.prior_prob}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError(f"alpha and beta must be positive ({self.alpha}, {self.beta})")
         if self.top_m < 1:
@@ -81,18 +92,7 @@ class ModelConfig:
             raise ConfigError(f"unknown assigner {self.assigner!r}")
         if self.batch_size < 1 or self.steps < 0:
             raise ConfigError("batch_size must be >= 1 and steps >= 0")
-        self.head_config().validate()
         return self
-
-    def head_config(self):
-        return HeadConfig(
-            channels=self.channels,
-            num_layers=self.num_layers,
-            num_classes=self.num_classes,
-            attention_ratio=self.attention_ratio,
-            align_channels=self.align_channels,
-            prior_prob=self.prior_prob,
-        )
 
     def grid(self):
         cells = self.image_size // self.stride
@@ -152,11 +152,7 @@ def init_model_params(cfg):
         )
         params[f"backbone.{i}.b"] = Tensor(np.zeros(cout, dtype=np.float32))
         cin = cout
-    head = init_head_params(cfg.head_config(), seed=int(rng.raw(1)[0]))
-    overlap = set(params) & set(head)
-    if overlap:
-        raise ConfigError(f"parameter name collision {sorted(overlap)}")
-    params.update(head)
+    params.update(init_head_params(cfg, seed=int(rng.raw(1)[0])))
     return params
 
 
@@ -170,9 +166,7 @@ def backbone_forward(image, params, cfg):
 
 def build_model(cfg):
     """Returns (params, forward); forward maps an [S,S,3] image to HeadOutputs."""
-    cfg.validate()
     params = init_model_params(cfg)
-    head_cfg = cfg.head_config()
 
     def forward(image, params=params):
         # a plain array is a constant to conv2d, which then skips its gradient
@@ -185,6 +179,6 @@ def build_model(cfg):
                 f"{cfg.image_size}x{cfg.image_size}"
             )
         feat = backbone_forward(x, params, cfg)
-        return head_forward(feat, params, head_cfg)
+        return head_forward(feat, params, cfg)
 
     return params, forward

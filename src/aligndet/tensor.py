@@ -385,25 +385,19 @@ def giou_loss(dist_map, rows, centers, gt, weights, stride, norm):
 # -- structural ops ------------------------------------------------------
 
 
-def concat(tensors, axis=-1):
-    """Concatenate along the channel (last) axis by default."""
+def concat(tensors):
+    """Concatenate along the channel (last) axis."""
     tensors = [_lift(t, np.float32) for t in tensors]
     base = tensors[0].shape
-    ax = axis % max(len(base), 1)
     for t in tensors[1:]:
-        if len(t.shape) != len(base) or t.shape[:ax] + t.shape[ax + 1:] != base[:ax] + base[ax + 1:]:
-            raise ShapeError(
-                f"concat: shape {t.shape} does not conform with {base} on axis {axis}"
-            )
-    data = np.concatenate([t.data for t in tensors], axis=ax)
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+        if len(t.shape) != len(base) or t.shape[:-1] != base[:-1]:
+            raise ShapeError(f"concat: shape {t.shape} does not conform with {base}")
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    offsets = np.cumsum([0] + [t.shape[-1] for t in tensors])
 
     def backward_fn(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(lo, hi)
-            _accum_shared(t, g[tuple(sl)])
+            _accum_shared(t, g[..., lo:hi])
 
     return _node(data, tensors, backward_fn)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import assign, center_sampling_assign
-from .errors import CheckpointError, TrainingError
+from .errors import CheckpointError, ConfigError, TrainingError
 from .losses import total_loss
 from .model import ModelConfig, build_model
 from .scenes import read_dataset
@@ -96,6 +96,24 @@ def train_step(batch, params, forward, state, cfg):
     return {key: value / n for key, value in sums.items()}
 
 
+def check_records(records, cfg, path):
+    """Reject an empty dataset, and a scene whose size or class ids cfg's model cannot take."""
+    if not records:
+        raise ConfigError(f"dataset {path} holds no scenes")
+    for rec in records:
+        if rec.image.shape[0] != cfg.image_size:
+            raise ConfigError(
+                f"dataset {path}: scene seed {rec.seed} is {rec.image.shape[0]}px, "
+                f"model expects {cfg.image_size}px"
+            )
+        for _, class_id in rec.instances:
+            if class_id >= cfg.num_classes:
+                raise ConfigError(
+                    f"dataset {path}: scene seed {rec.seed} holds class {class_id}, "
+                    f"model has {cfg.num_classes} classes"
+                )
+
+
 def train(cfg, dataset_path, out_dir, checkpoint_every=None, progress=None):
     """Full run: returns (params, history) and writes curve + checkpoint.
 
@@ -106,14 +124,7 @@ def train(cfg, dataset_path, out_dir, checkpoint_every=None, progress=None):
     """
     cfg.validate()
     records = read_dataset(dataset_path)
-    if not records:
-        raise TrainingError(f"dataset {dataset_path} holds no scenes")
-    for rec in records:
-        if rec.image.shape[0] != cfg.image_size:
-            raise TrainingError(
-                f"scene seed {rec.seed} is {rec.image.shape[0]}px, config expects "
-                f"{cfg.image_size}px"
-            )
+    check_records(records, cfg, dataset_path)
     os.makedirs(out_dir, exist_ok=True)
     params, forward = build_model(cfg)
     state = OptState()

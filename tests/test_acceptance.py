@@ -437,7 +437,6 @@ def test_c4_loss_oracle(tmp_path):
         is_positive=np.array([True]),
         instance_index=np.array([0], dtype=np.int64),
         matched_class=np.array([1], dtype=np.int64),
-        s=np.array([0.6]),
         u=np.array([0.75]),
         t=np.array([0.6 * 0.75 ** 6]),
         t_hat=np.array([0.6]),
@@ -456,7 +455,6 @@ def test_c4_loss_oracle(tmp_path):
         is_positive=np.zeros(n, dtype=bool),
         instance_index=np.full(n, -1, dtype=np.int64),
         matched_class=np.full(n, -1, dtype=np.int64),
-        s=zeros,
         u=zeros,
         t=zeros,
         t_hat=zeros,

@@ -59,6 +59,13 @@ BAD_MODEL = [
     ("model", {"backbone_strides": [2, 2, True, 1]}), ("model", {"backbone_strides": 2}),
     ("model", {"backbone_channels": [], "backbone_strides": []}),
 ]
+# sizes of the right JSON type below 1, which used to divide by zero, ask
+# numpy for negative dimensions or train a zero-width alignment branch
+BAD_SIZES = [
+    ("model", {"backbone_strides": [2, 2, 2, 0]}), ("model", {"attention_ratio": 0}),
+    ("model", {"backbone_channels": [4, 8, 0, 8]}), ("model", {"attention_ratio": -4}),
+    ("model", {"align_channels": 0}), ("model", {"align_channels": -1}),
+]
 BAD_DATASET = [
     ("dataset", []), ("dataset", {"image_size": "64"}), ("dataset", {"train_count": "x"}),
     ("dataset", {"val_count": False}), ("dataset", {"occlusion_allowed": 1}),
@@ -73,6 +80,16 @@ def bad_config(tmp_path, section, value):
         raw[section] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def with_class(tmp_path, dataset, class_id):
+    """A copy of ``dataset`` whose first instance has class ``class_id``."""
+    records = read_dataset(str(dataset))
+    box, _ = records[0].instances[0]
+    records[0].instances[0] = (box, class_id)
+    path = tmp_path / f"class{class_id}.tdset"
+    write_dataset(records, str(path))
     return str(path)
 
 
@@ -150,7 +167,7 @@ class TestGen:
         bad.write_text(json.dumps({"dataset": {"image_siez": 64}}))
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("section,value", BAD_MODEL + BAD_DATASET)
+    @pytest.mark.parametrize("section,value", BAD_MODEL + BAD_DATASET + BAD_SIZES)
     def test_wrong_json_type(self, tmp_path, capsys, section, value):
         bad = bad_config(tmp_path, section, value)
         assert main(["gen", "--config", bad, "--out", str(tmp_path / "o")]) == 2
@@ -189,12 +206,22 @@ class TestTrain:
                      "--dataset", str(generated / "train.tdset"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("section,value", BAD_MODEL)
+    @pytest.mark.parametrize("section,value", BAD_MODEL + BAD_SIZES)
     def test_wrong_json_type(self, tmp_path, generated, capsys, section, value):
         bad = bad_config(tmp_path, section, value)
         assert main(["train", "--config", bad, "--dataset", str(generated / "train.tdset"),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("assigner", ["aligned", "center"])
+    def test_class_out_of_range(self, tmp_path, generated, capsys, assigner):
+        cfg = tmp_path / f"{assigner}.json"
+        cfg.write_text(json.dumps(config_dict(assigner=assigner)))
+        data = with_class(tmp_path, generated / "train.tdset", 2)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--dataset", data, "--out", str(out)]) == 2
+        assert "holds class 2, model has 2 classes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numbers_and_lists_where_the_defaults_want_them(self):
         # an int may stand for a float, and a list of ints for a tuple
@@ -283,6 +310,22 @@ class TestEval:
                          "--out", str(out)] + extra) == 2
             assert "holds no scenes" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_class_out_of_range(self, tmp_path, generated, checkpoint, capsys):
+        data = with_class(tmp_path, generated / "val.tdset", 2)
+        for verb, extra in (("eval", []), ("analyze", ["--baseline", str(checkpoint)])):
+            out = tmp_path / verb
+            assert main([verb, "--dataset", data, "--checkpoint", str(checkpoint),
+                         "--out", str(out)] + extra) == 2
+            assert "holds class 2, model has 2 classes" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("section,value", BAD_SIZES)
+    def test_size_below_one(self, tmp_path, generated, checkpoint, capsys, section, value):
+        assert main(["eval", "--config", bad_config(tmp_path, section, value),
+                     "--dataset", str(generated / "val.tdset"), "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_corrupt_checkpoint(self, tmp_path, generated, checkpoint):
         (checkpoint / "params.bin").write_bytes(b"garbage")

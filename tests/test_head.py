@@ -7,7 +7,6 @@ from oracle_utils import head_forward_reference
 from aligndet import tensor as T
 from aligndet.errors import ConfigError, ShapeError
 from aligndet.head import (
-    HeadConfig,
     align_classification,
     align_localization,
     count_params,
@@ -17,6 +16,7 @@ from aligndet.head import (
     layer_attention,
     tap_predict,
 )
+from aligndet.model import ModelConfig
 from aligndet.scenes import SplitMix64
 from aligndet.selfcheck import _perturb
 from aligndet.tensor import Tensor
@@ -26,7 +26,7 @@ def small_cfg(**kw):
     base = dict(channels=16, num_layers=2, num_classes=2,
                 attention_ratio=4, align_channels=4)
     base.update(kw)
-    return HeadConfig(**base)
+    return ModelConfig(**base)
 
 
 def perturbed_params(cfg, seed=0, scale=0.25):
@@ -44,15 +44,16 @@ def random_input(cfg, h=6, w=6, seed=0):
 
 class TestConfig:
     def test_defaults_validate(self):
-        HeadConfig().validate()
+        ModelConfig().validate()
 
     def test_bad_ratio(self):
-        with pytest.raises(ConfigError):
-            HeadConfig(channels=10, attention_ratio=4).validate()
+        with pytest.raises(ConfigError, match="attention ratio"):
+            ModelConfig(channels=10, backbone_channels=(16, 32, 64, 10),
+                        attention_ratio=4).validate()
 
     def test_bad_prior(self):
-        with pytest.raises(ConfigError):
-            HeadConfig(prior_prob=1.5).validate()
+        with pytest.raises(ConfigError, match="prior_prob"):
+            ModelConfig(prior_prob=1.5).validate()
 
 
 class TestInit:
@@ -85,8 +86,8 @@ class TestInit:
         # full-size head at the 80-class audit shape, frozen closed-form count;
         # must undercut a two-branch parallel head (2x4 convs + cls/box/extra
         # quality predictor) at the same width
-        cfg = HeadConfig(channels=64, num_layers=6, num_classes=80,
-                         attention_ratio=4, align_channels=8)
+        cfg = ModelConfig(channels=64, num_layers=6, num_classes=80,
+                          attention_ratio=4, align_channels=8)
         n_params = count_params(init_head_params(cfg))
         assert n_params == 338_657
         c, k = 64, 80
@@ -185,8 +186,8 @@ class TestTap:
         assert np.allclose(B.data, 1.0)  # exp(0), one stride unit
 
     def test_audit_shapes_at_80_classes(self):
-        cfg = HeadConfig(channels=16, num_layers=2, num_classes=80,
-                         attention_ratio=4, align_channels=4)
+        cfg = ModelConfig(channels=16, num_layers=2, num_classes=80,
+                          attention_ratio=4, align_channels=4)
         out = head_forward(random_input(cfg), perturbed_params(cfg), cfg)
         assert out.P.shape == (6, 6, 80)
         assert out.B.shape == (6, 6, 4)
@@ -289,8 +290,8 @@ class TestForward:
         # O and the gates) match bit for bit and sign of zero; the folded
         # reductions' outputs and every gradient round differently, so in
         # float64 they match within 1e-12 of each array's largest magnitude
-        cfg = HeadConfig(channels=c, num_layers=n, num_classes=k,
-                         attention_ratio=4, align_channels=4)
+        cfg = ModelConfig(channels=c, num_layers=n, num_classes=k,
+                          attention_ratio=4, align_channels=4)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(h, w, c)).astype(dtype)
         probe_p = rng.normal(size=(h, w, k)).astype(dtype)

@@ -23,7 +23,6 @@ def single_anchor_assignment(t_hat, class_id=0, u=None):
         is_positive=np.array([True]),
         instance_index=np.array([0]),
         matched_class=np.array([class_id]),
-        s=np.zeros(1),
         u=np.array([u if u is not None else t_hat]),
         t=np.array([t_hat]),
         t_hat=np.array([t_hat]),
@@ -35,7 +34,6 @@ def all_negative(n):
         is_positive=np.zeros(n, dtype=bool),
         instance_index=np.full(n, -1),
         matched_class=np.full(n, -1),
-        s=np.zeros(n),
         u=np.zeros(n),
         t=np.zeros(n),
         t_hat=np.zeros(n),

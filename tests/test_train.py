@@ -295,7 +295,7 @@ class TestTrainLoop:
 
     def test_size_mismatch_rejected(self, tmp_path):
         data, _ = tiny_dataset(tmp_path, size=64)
-        with pytest.raises(TrainingError):
+        with pytest.raises(ConfigError):
             train(tiny_cfg(image_size=32), data, tmp_path / "runx")
 
 
