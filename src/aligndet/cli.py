@@ -19,9 +19,11 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .errors import AligndetError, ConfigError
 from .metrics import evaluate_dataset
-from .model import ModelConfig, build_model, checked_fields
+from .model import ModelConfig, checked_fields, model_forward, param_specs
 from .report import (
     ensure_dir,
     write_grid_csv,
@@ -31,6 +33,7 @@ from .report import (
     write_single_report_csv,
 )
 from .scenes import DatasetConfig, make_dataset, train_seeds, val_seeds, write_dataset, read_dataset
+from .tensor import Tensor
 from .train import adopt_params, check_records, load_checkpoint, train
 
 _U64 = 2 ** 64
@@ -160,9 +163,10 @@ def _restore(checkpoint, config_path):
         raise ConfigError(
             f"checkpoint {checkpoint} carries no config; pass --config"
         )
-    params, forward = build_model(cfg)
+    # placeholders of the described shapes for the checkpoint's arrays: nothing is drawn
+    params = {name: Tensor(np.empty(shape, np.float32)) for name, shape, _ in param_specs(cfg)}
     adopt_params(params, loaded)
-    return cfg, forward, step
+    return cfg, model_forward(cfg, params), step
 
 
 def _cmd_eval(args):

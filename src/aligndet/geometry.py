@@ -59,17 +59,19 @@ def pairwise_iou(boxes_a, boxes_b):
     """
     a = _as_boxes(boxes_a)
     b = _as_boxes(boxes_b)
-    x1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    y1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    x2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    y2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(x2 - x1, 0.0, None) * np.clip(y2 - y1, 0.0, None)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    return _iou(a.T[:, :, None], area_a[:, None], b.T[:, None, :], area_b[None, :])
+
+
+def _iou(a, area_a, b, area_b):
+    """IoU of boxes given as (x1, y1, x2, y2) columns and their areas; broadcasts."""
+    inter = (np.maximum(np.minimum(a[2], b[2]) - np.maximum(a[0], b[0]), 0.0)
+             * np.maximum(np.minimum(a[3], b[3]) - np.maximum(a[1], b[1]), 0.0))
+    union = area_a + area_b - inter
+    positive = union > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
-    return out
+        return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
 
 
 def iou(box_a, box_b):
@@ -137,8 +139,9 @@ def nms(detections, iou_threshold=0.6, max_detections=None):
     list as the first ``max_detections`` of an unlimited run.
 
     Each kept candidate suppresses the later live candidates of its class
-    with one [1,k] ``pairwise_iou`` row, so the work is bounded by the
-    number kept, and memory by the number of candidates.
+    with one row of ``pairwise_iou``'s arithmetic on box columns taken once,
+    so the work is bounded by the number kept, and memory by the number of
+    candidates.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise GeometryError(f"iou_threshold must be in [0,1], got {iou_threshold}")
@@ -150,9 +153,10 @@ def nms(detections, iou_threshold=0.6, max_detections=None):
     scores = np.array([d.score for d in detections], dtype=np.float64)
     anchors = np.array([d.anchor_index for d in detections], dtype=np.int64)
     order = np.lexsort((np.arange(n), anchors, -scores))
-    boxes = np.array(
+    cols = np.array(
         [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections], dtype=np.float64
-    )[order]
+    )[order].T.copy()
+    areas = (cols[2] - cols[0]) * (cols[3] - cols[1])
     classes = np.array([d.class_id for d in detections], dtype=np.int64)[order]
     live = np.ones(n, dtype=bool)
     kept = []
@@ -164,6 +168,6 @@ def nms(detections, iou_threshold=0.6, max_detections=None):
             break
         rivals = i + 1 + np.flatnonzero(live[i + 1:] & (classes[i + 1:] == classes[i]))
         if rivals.size:
-            overlap = pairwise_iou(boxes[i:i + 1], boxes[rivals])[0]
+            overlap = _iou(cols[:, i], areas[i], cols[:, rivals], areas[rivals])
             live[rivals[overlap > iou_threshold]] = False
     return kept

@@ -51,57 +51,56 @@ class HeadOutputs:
     inter: list = field(default_factory=list)      # N interactive maps
 
 
-def _he_conv(rng, k, cin, cout):
-    std = math.sqrt(2.0 / (k * k * cin))
-    return (rng.normal((k, k, cin, cout)) * std).astype(np.float32)
+def draw_params(specs, rng):
+    """Parameters for (name, shape, init) specs, drawn in order from ``rng``.
+
+    init "conv" or "fc" draws He-normal weights, whose fan-in is every axis
+    but the last of a conv weight [k,k,Cin,Cout] or the last axis of a
+    linear weight [out,in]; a number fills the tensor with that constant.
+    """
+    params = {}
+    for name, shape, init in specs:
+        if isinstance(init, str):
+            fan_in = shape[-1] if init == "fc" else math.prod(shape[:-1])
+            arr = (rng.normal(shape) * math.sqrt(2.0 / fan_in)).astype(np.float32)
+        else:
+            arr = np.full(shape, init, dtype=np.float32)
+        params[name] = Tensor(arr)
+    return params
 
 
-def _he_fc(rng, out_dim, in_dim):
-    std = math.sqrt(2.0 / in_dim)
-    return (rng.normal((out_dim, in_dim)) * std).astype(np.float32)
-
-
-def init_head_params(cfg, seed=0):
-    """Fresh head parameters for a ``ModelConfig`` from a seeded counter-based stream.
+def head_param_specs(cfg):
+    """(name, shape, init) of every head parameter of a ``ModelConfig``, in init order.
 
     Score-logit biases start at -log((1-pi)/pi) so initial scores sit near
     the prior; the M and O prediction layers start at zero so alignment
     begins as the identity (M = 0.5 everywhere, O = 0).
     """
-    rng = SplitMix64(seed)
-    c, n, k = cfg.channels, cfg.num_layers, cfg.num_classes
-    nc = n * c
-    bottleneck = c // cfg.attention_ratio
-    a = cfg.align_channels
-    params = {}
-
-    def add(name, arr):
-        params[name] = Tensor(arr)
-
+    c, n, k, a = cfg.channels, cfg.num_layers, cfg.num_classes, cfg.align_channels
+    nc, bottleneck = n * c, c // cfg.attention_ratio
+    specs = []
     for i in range(n):
-        add(f"inter.{i}.w", _he_conv(rng, 3, c, c))
-        add(f"inter.{i}.b", np.zeros(c, dtype=np.float32))
+        specs += [(f"inter.{i}.w", (3, 3, c, c), "conv"), (f"inter.{i}.b", (c,), 0.0)]
     for task in ("cls", "loc"):
-        add(f"att.{task}.fc1.w", _he_fc(rng, bottleneck, nc))
-        add(f"att.{task}.fc1.b", np.zeros(bottleneck, dtype=np.float32))
-        add(f"att.{task}.fc2.w", _he_fc(rng, n, bottleneck))
-        add(f"att.{task}.fc2.b", np.zeros(n, dtype=np.float32))
-        add(f"tap.{task}.reduce.w", _he_conv(rng, 1, nc, c))
-        add(f"tap.{task}.reduce.b", np.zeros(c, dtype=np.float32))
-    add("tap.cls.pred.w", _he_conv(rng, 3, c, k))
-    bias = -math.log((1.0 - cfg.prior_prob) / cfg.prior_prob)
-    add("tap.cls.pred.b", np.full(k, bias, dtype=np.float32))
-    add("tap.loc.pred.w", _he_conv(rng, 3, c, 4))
-    add("tap.loc.pred.b", np.zeros(4, dtype=np.float32))
-    add("m.reduce.w", _he_conv(rng, 1, nc, a))
-    add("m.reduce.b", np.zeros(a, dtype=np.float32))
-    add("m.pred.w", np.zeros((3, 3, a, 1), dtype=np.float32))
-    add("m.pred.b", np.zeros(1, dtype=np.float32))
-    add("o.reduce.w", _he_conv(rng, 1, nc, a))
-    add("o.reduce.b", np.zeros(a, dtype=np.float32))
-    add("o.pred.w", np.zeros((3, 3, a, 8), dtype=np.float32))
-    add("o.pred.b", np.zeros(8, dtype=np.float32))
-    return params
+        specs += [
+            (f"att.{task}.fc1.w", (bottleneck, nc), "fc"), (f"att.{task}.fc1.b", (bottleneck,), 0.0),
+            (f"att.{task}.fc2.w", (n, bottleneck), "fc"), (f"att.{task}.fc2.b", (n,), 0.0),
+            (f"tap.{task}.reduce.w", (1, 1, nc, c), "conv"), (f"tap.{task}.reduce.b", (c,), 0.0),
+        ]
+    prior = -math.log((1.0 - cfg.prior_prob) / cfg.prior_prob)
+    return specs + [
+        ("tap.cls.pred.w", (3, 3, c, k), "conv"), ("tap.cls.pred.b", (k,), prior),
+        ("tap.loc.pred.w", (3, 3, c, 4), "conv"), ("tap.loc.pred.b", (4,), 0.0),
+        ("m.reduce.w", (1, 1, nc, a), "conv"), ("m.reduce.b", (a,), 0.0),
+        ("m.pred.w", (3, 3, a, 1), 0.0), ("m.pred.b", (1,), 0.0),
+        ("o.reduce.w", (1, 1, nc, a), "conv"), ("o.reduce.b", (a,), 0.0),
+        ("o.pred.w", (3, 3, a, 8), 0.0), ("o.pred.b", (8,), 0.0),
+    ]
+
+
+def init_head_params(cfg, seed=0):
+    """Fresh head parameters for a ``ModelConfig`` from a seeded counter-based stream."""
+    return draw_params(head_param_specs(cfg), SplitMix64(seed))
 
 
 def count_params(params):

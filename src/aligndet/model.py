@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .assignment import ALPHA, BETA, TOP_M, AnchorGrid
 from .errors import ConfigError, ShapeError
-from .head import head_forward, init_head_params
+from .head import draw_params, head_forward, head_param_specs, init_head_params
 from .losses import GAMMA
 from .scenes import SplitMix64
 from .tensor import Tensor
@@ -60,6 +60,9 @@ class ModelConfig:
         return s
 
     def validate(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.backbone_channels or len(self.backbone_channels) != len(self.backbone_strides):
             raise ConfigError("backbone channels and strides differ in length or are empty")
         for name in ("image_size", "num_classes", "backbone_channels", "backbone_strides",
@@ -92,6 +95,13 @@ class ModelConfig:
             raise ConfigError(f"unknown assigner {self.assigner!r}")
         if self.batch_size < 1 or self.steps < 0:
             raise ConfigError("batch_size must be >= 1 and steps >= 0")
+        for name, ok, rule in (
+            ("lr", self.lr > 0, "> 0"), ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+            ("weight_decay", self.weight_decay >= 0, ">= 0"),
+            ("warmup_steps", self.warmup_steps >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
         return self
 
     def grid(self):
@@ -139,19 +149,25 @@ def checked_fields(section, defaults, what):
     return {key: tuple(v) if isinstance(v, list) else v for key, v in section.items()}
 
 
+def param_specs(cfg):
+    """(name, shape, init) of every parameter (see ``head.draw_params``): what
+    init draws, and what a restored checkpoint must hold."""
+    return _backbone_specs(cfg) + head_param_specs(cfg)
+
+
+def _backbone_specs(cfg):
+    specs, cin = [], 3
+    for i, cout in enumerate(cfg.backbone_channels):
+        specs += [(f"backbone.{i}.w", (3, 3, cin, cout), "conv"), (f"backbone.{i}.b", (cout,), 0.0)]
+        cin = cout
+    return specs
+
+
 def init_model_params(cfg):
     """All parameters (backbone then head) from one seeded stream."""
     cfg.validate()
     rng = SplitMix64(cfg.seed)
-    params = {}
-    cin = 3
-    for i, (cout, _) in enumerate(zip(cfg.backbone_channels, cfg.backbone_strides)):
-        std = math.sqrt(2.0 / (9 * cin))
-        params[f"backbone.{i}.w"] = Tensor(
-            (rng.normal((3, 3, cin, cout)) * std).astype(np.float32)
-        )
-        params[f"backbone.{i}.b"] = Tensor(np.zeros(cout, dtype=np.float32))
-        cin = cout
+    params = draw_params(_backbone_specs(cfg), rng)
     params.update(init_head_params(cfg, seed=int(rng.raw(1)[0])))
     return params
 
@@ -165,8 +181,13 @@ def backbone_forward(image, params, cfg):
 
 
 def build_model(cfg):
-    """Returns (params, forward); forward maps an [S,S,3] image to HeadOutputs."""
+    """Returns (params, forward) at a fresh init; forward maps an [S,S,3] image to HeadOutputs."""
     params = init_model_params(cfg)
+    return params, model_forward(cfg, params)
+
+
+def model_forward(cfg, params):
+    """The forward pass of cfg's model over ``params``, e.g. a checkpoint's."""
 
     def forward(image, params=params):
         # a plain array is a constant to conv2d, which then skips its gradient
@@ -181,4 +202,4 @@ def build_model(cfg):
         feat = backbone_forward(x, params, cfg)
         return head_forward(feat, params, cfg)
 
-    return params, forward
+    return forward

@@ -13,6 +13,8 @@ is not the evidence that localizes the box.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -294,10 +296,17 @@ def read_dataset(path):
     instance 4 f32 box coordinates and a u32 class id. Little-endian
     throughout. Malformed input raises FormatError with the byte offset.
     """
+    # parsed through a read-only map of the file, not a heap copy of it: the
+    # decoded arrays are the only file-sized allocation, and reading frees
+    # no file-sized heap block that the allocator would then keep around
     with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < 13:
-        raise FormatError("file too short for dataset header", offset=0)
+        if os.fstat(f.fileno()).st_size < 13:
+            raise FormatError("file too short for dataset header", offset=0)
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as buf:
+            return _parse_dataset(buf)
+
+
+def _parse_dataset(buf):
     if buf[:5] != DATASET_MAGIC:
         raise FormatError(f"bad dataset magic {buf[:5]!r}", offset=0)
     version, count = struct.unpack_from("<II", buf, 5)

@@ -169,7 +169,8 @@ def save_checkpoint(params, path, step=0, config=None):
     writing leaves the old checkpoint untouched and no temporary directory
     behind. A process killed between the two renames leaves no directory at
     ``path`` and the old checkpoint under a ``.old-`` name beside it, never
-    a partly written checkpoint at ``path``.
+    a partly written checkpoint at ``path``. A parameter holding NaN or an
+    infinity raises ``CheckpointError`` while writing.
     """
     path = os.path.abspath(path)
     parent, base = os.path.split(path)
@@ -199,6 +200,7 @@ def _write_checkpoint_files(params, path, step, config):
     offset = 0
     with open(os.path.join(path, PAYLOAD_NAME), "wb") as f:
         for name, p in params.items():
+            _check_finite(name, p.data)
             blob = tensor_to_bytes(p.data)
             dims = ",".join(str(d) for d in p.shape) if p.shape else "scalar"
             lines.append(f"param {name} {dims} {offset}")
@@ -208,11 +210,17 @@ def _write_checkpoint_files(params, path, step, config):
         f.write("\n".join(lines) + "\n")
 
 
+def _check_finite(name, data):
+    if not np.isfinite(data).all():
+        raise CheckpointError(f"parameter {name!r} holds non-finite values")
+
+
 def load_checkpoint(path):
     """Read a checkpoint directory back; returns (params, step, config_json).
 
     Every manifest entry is validated against the payload: declared shapes
-    must match the stored tensors, offsets must tile the payload exactly.
+    must match the stored tensors, offsets must tile the payload exactly,
+    and every value must be finite.
     """
     manifest_path = os.path.join(path, MANIFEST_NAME)
     payload_path = os.path.join(path, PAYLOAD_NAME)
@@ -258,6 +266,7 @@ def load_checkpoint(path):
                 f"parameter {name!r} declares shape {shape} but payload holds "
                 f"{data.shape}"
             )
+        _check_finite(name, data)
         params[name] = Tensor(data)
     if cursor != len(payload):
         raise CheckpointError(

@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from aligndet import cli
 from aligndet.cli import main
 from aligndet.errors import CheckpointError
-from aligndet.model import ModelConfig
-from aligndet.scenes import read_dataset, write_dataset
-from aligndet.train import load_checkpoint
+from aligndet.model import ModelConfig, build_model
+from aligndet.scenes import SplitMix64, read_dataset, write_dataset
+from aligndet.tensor import tensor_from_bytes, tensor_to_bytes
+from aligndet.train import adopt_params, load_checkpoint
 
 
 def config_dict(**model_extra):
@@ -66,6 +68,16 @@ BAD_SIZES = [
     ("model", {"backbone_channels": [4, 8, 0, 8]}), ("model", {"attention_ratio": -4}),
     ("model", {"align_channels": 0}), ("model", {"align_channels": -1}),
 ]
+# values of the right JSON type out of their range, and non-finite floats
+# (Python's json reads NaN and Infinity), which used to run gradient ascent
+# or stop only after train had made its output directory
+BAD_VALUES = [
+    ("model", {"lr": -1}), ("model", {"lr": 0}), ("model", {"lr": float("inf")}),
+    ("model", {"momentum": 1.0}), ("model", {"momentum": -0.5}),
+    ("model", {"weight_decay": -1e-4}), ("model", {"warmup_steps": -1}),
+    ("model", {"alpha": float("nan")}), ("model", {"gamma": float("nan")}),
+    ("model", {"beta": float("inf")}),
+]
 BAD_DATASET = [
     ("dataset", []), ("dataset", {"image_size": "64"}), ("dataset", {"train_count": "x"}),
     ("dataset", {"val_count": False}), ("dataset", {"occlusion_allowed": 1}),
@@ -81,6 +93,17 @@ def bad_config(tmp_path, section, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def poison_parameter(checkpoint, name, value=np.nan):
+    """Overwrite the first value of parameter ``name`` in a checkpoint's payload."""
+    manifest = (checkpoint / "manifest.txt").read_text().splitlines()
+    offset = next(int(line.rsplit(" ", 1)[1]) for line in manifest
+                  if line.startswith(f"param {name} "))
+    payload = (checkpoint / "params.bin").read_bytes()
+    data, end = tensor_from_bytes(payload, offset)
+    data.flat[0] = value
+    (checkpoint / "params.bin").write_bytes(payload[:offset] + tensor_to_bytes(data) + payload[end:])
 
 
 def with_class(tmp_path, dataset, class_id):
@@ -223,6 +246,15 @@ class TestTrain:
         assert "holds class 2, model has 2 classes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,value", BAD_VALUES)
+    def test_bad_value_stops_before_the_run(self, tmp_path, generated, capsys, section, value):
+        out = tmp_path / "o"
+        assert main(["train", "--config", bad_config(tmp_path, section, value),
+                     "--dataset", str(generated / "train.tdset"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(value)) in err
+        assert not out.exists()
+
     def test_numbers_and_lists_where_the_defaults_want_them(self):
         # an int may stand for a float, and a list of ints for a tuple
         cfg = ModelConfig.from_json('{"lr": 1, "backbone_strides": [2, 2, 2, 1]}')
@@ -326,6 +358,68 @@ class TestEval:
                      "--dataset", str(generated / "val.tdset"), "--checkpoint", str(checkpoint),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_restore_draws_nothing(self, tmp_path, cfg_path, generated, checkpoint, monkeypatch):
+        # eval and analyze build the model from the checkpoint's arrays, so
+        # they run with the random stream disabled, and they write what a
+        # random init with the checkpoint's arrays copied over it writes
+        data, ckpt = str(generated / "val.tdset"), str(checkpoint)
+
+        def outputs(tag):
+            for name, extra in (("eval", []), ("eval_config", ["--config", cfg_path])):
+                assert main(["eval", "--dataset", data, "--checkpoint", ckpt,
+                             "--out", str(tmp_path / tag / name)] + extra) == 0
+            assert main(["analyze", "--dataset", data, "--checkpoint", ckpt, "--baseline", ckpt,
+                         "--out", str(tmp_path / tag / "analyze")]) == 0
+            files = sorted((tmp_path / tag).rglob("*.*"))
+            return {str(f.relative_to(tmp_path / tag)): f.read_bytes() for f in files}
+
+        def drawn_restore(checkpoint, config_path):
+            loaded, step, embedded = load_checkpoint(checkpoint)
+            cfg = (ModelConfig.from_json(embedded) if config_path is None
+                   else cli._model_config(cli._load_config(config_path)))
+            params, forward = build_model(cfg)
+            adopt_params(params, loaded)
+            return cfg, forward, step
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_restore", drawn_restore)
+            drawn = outputs("drawn")
+
+        def no_draws(self, shape):
+            raise AssertionError("a restore drew random normals")
+
+        monkeypatch.setattr(SplitMix64, "normal", no_draws)
+        restored = outputs("restored")
+        assert len(restored) == 6 and restored == drawn
+
+    @pytest.mark.parametrize("model,message", [
+        ({"channels": 16, "backbone_channels": [4, 8, 16, 16]},
+         "parameter 'backbone.2.w': checkpoint shape (3, 3, 8, 8) != model shape (3, 3, 8, 16)"),
+        ({"num_layers": 3},
+         "parameter set mismatch: missing ['inter.2.b', 'inter.2.w'], unexpected none"),
+    ])
+    def test_config_unlike_the_checkpoint(self, tmp_path, generated, checkpoint, capsys,
+                                          model, message):
+        out = tmp_path / "o"
+        assert main(["eval", "--config", bad_config(tmp_path, "model", model),
+                     "--dataset", str(generated / "val.tdset"), "--checkpoint", str(checkpoint),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["o.pred.b", "tap.cls.pred.b"])
+    def test_non_finite_parameter(self, tmp_path, generated, checkpoint, capsys, name):
+        # NaN offsets used to crash the sampler with an IndexError, and NaN
+        # score biases to evaluate with exit 0
+        poison_parameter(checkpoint, name)
+        with pytest.raises(CheckpointError, match=re.escape(f"parameter {name!r} holds non-finite")):
+            load_checkpoint(checkpoint)
+        out = tmp_path / "o"
+        assert main(["eval", "--dataset", str(generated / "val.tdset"),
+                     "--checkpoint", str(checkpoint), "--out", str(out)]) == 2
+        assert f"parameter {name!r} holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_checkpoint(self, tmp_path, generated, checkpoint):
         (checkpoint / "params.bin").write_bytes(b"garbage")

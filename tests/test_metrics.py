@@ -349,13 +349,44 @@ def ids(dets):
     return [id(d) for d in dets]
 
 
+# box pairs whose IoU equals a threshold exactly; at it, not above it, the
+# second is not suppressed
+AT_THRESHOLD = [
+    ((0, 0, 2, 1), (0, 0, 1, 1), 0.5),
+    ((0, 0, 5, 1), (0, 0, 3, 1), 0.6),
+    ((0, 0, 2, 1), (1, 0, 3, 1), 1 / 3),
+    ((0, 0, 4, 1), (0, 0, 1, 1), 0.25),
+    ((0, 0, 4, 2), (0, 0, 3, 2), 0.75),
+    ((1, 1, 3, 2), (1, 1, 3, 2), 1.0),
+    ((0, 0, 1, 1), (1, 0, 2, 1), 0.0),
+]
+
+
+def at_threshold(test):
+    """Hypothesis examples from AT_THRESHOLD, each with a copy of the first
+    box of a later anchor, which only threshold 1 lets through."""
+    for a, b, t in AT_THRESHOLD:
+        test = example([det(*a, 0.9), det(*b, 0.8), det(*a, 0.7, anchor=1)], t, None)(test)
+    return test
+
+
 class TestAgainstScalarOracles:
     @settings(max_examples=150, deadline=None)
     @given(grid_detections(), nms_thresholds, st.none() | st.integers(0, 12))
+    @at_threshold
     def test_nms_matches_scalar_greedy(self, dets, threshold, limit):
         full = nms(dets, threshold)
         assert ids(full) == ids(nms_reference(dets, threshold))
         assert ids(nms(dets, threshold, max_detections=limit)) == ids(full[:limit])
+
+    @pytest.mark.parametrize("a,b,threshold", AT_THRESHOLD)
+    def test_pair_at_the_threshold(self, a, b, threshold):
+        assert geometry.iou(a, b) == threshold
+        pair = [det(*a, 0.9), det(*b, 0.8)]
+        assert ids(nms(pair, threshold)) == ids(nms_reference(pair, threshold)) == ids(pair)
+        if threshold > 0.0:
+            below = float(np.nextafter(threshold, 0.0))
+            assert ids(nms(pair, below)) == ids(nms_reference(pair, below)) == ids(pair[:1])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(grid_detections(max_size=12), grid_instances()), max_size=4))
@@ -398,19 +429,22 @@ class TestBoundedCost:
         p = np.linspace(0.9, 0.1, 768).reshape(16, 16, 3)
         b = np.full((16, 16, 4), 0.4)
         rows = []
-        pairwise_iou = geometry.pairwise_iou
+        iou = geometry._iou
 
-        def counting_pairwise_iou(a, b):
-            rows.append(len(np.atleast_2d(a)))
-            return pairwise_iou(a, b)
+        def counting_iou(a, area_a, b, area_b):
+            rows.append((np.shape(area_a), np.shape(area_b)))
+            return iou(a, area_a, b, area_b)
 
-        monkeypatch.setattr(geometry, "pairwise_iou", counting_pairwise_iou)
+        monkeypatch.setattr(geometry, "_iou", counting_iou)
         dets = detections_from_outputs(p, b, grid, max_detections=100)
         assert len(dets) == 100
         assert [(d.anchor_index, d.class_id) for d in dets] == [
             divmod(k, 3) for k in range(100)
         ]
-        assert len(rows) <= 100 and set(rows) <= {1}
+        # at most one suppression row per kept box, each of one box against
+        # no more than its class's 256 candidates
+        assert 0 < len(rows) <= 100
+        assert all(one == () and len(rivals) == 1 and rivals[0] <= 256 for one, rivals in rows)
 
 
 class TestEvaluateDataset:

@@ -244,7 +244,7 @@ class TestDatasetFile:
         full = path.read_bytes()
         bad = tmp_path / "cut.tdset"
         # cut at several depths: inside header, image payload, instance list
-        for cut in [4, 10, 20, len(full) // 2, len(full) - 3]:
+        for cut in [0, 4, 10, 20, len(full) // 2, len(full) - 3]:
             bad.write_bytes(full[:cut])
             with pytest.raises(FormatError):
                 read_dataset(bad)

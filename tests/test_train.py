@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -208,8 +209,10 @@ class TestOptimizer:
 
     def test_zero_lr_keeps_params(self, tmp_path):
         _, records = tiny_dataset(tmp_path)
-        cfg = tiny_cfg(lr=0.0)
+        # a config rejects lr 0, so the step's own arithmetic is what runs at it
+        cfg = tiny_cfg()
         params, forward = build_model(cfg)
+        cfg.lr = 0.0
         before = {n: p.data.copy() for n, p in params.items()}
         train_step(records[:2], params, forward, OptState(), cfg)
         for name, p in params.items():
@@ -407,3 +410,16 @@ class TestCheckpoint:
         assert step == 4
         for name in params:
             assert np.array_equal(loaded[name].data, changed[name].data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_not_saved(self, tmp_path, bad):
+        cfg = tiny_cfg()
+        params = init_model_params(cfg)
+        path = tmp_path / "ckpt"
+        save_checkpoint(params, path, step=3, config=cfg)
+        before = {name: (path / name).read_bytes() for name in ("manifest.txt", "params.bin")}
+        params["o.pred.b"].data[5] = bad
+        with pytest.raises(CheckpointError, match=re.escape("'o.pred.b'")):
+            save_checkpoint(params, path, step=4, config=cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        assert {name: (path / name).read_bytes() for name in before} == before

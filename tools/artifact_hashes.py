@@ -8,7 +8,8 @@ parent) on the same machine and diff the output:
 In a temporary directory it runs ``gen`` (16 train and 4 val scenes at the
 default dataset config), ``train`` for 6 steps and for 0 steps at the default
 model config, ``eval`` of ``bench/checkpoint/`` and of both new checkpoints on
-the val split, ``analyze`` of ``bench/checkpoint/`` against the 6-step
+the val split (the 6-step one twice: with its embedded config and with
+``--config``), ``analyze`` of ``bench/checkpoint/`` against the 6-step
 checkpoint, and ``gradcheck``. Every file written and the ``gradcheck`` stdout
 are hashed. The CLI runs in child processes with ``OPENBLAS_NUM_THREADS=1``,
 so numpy loads with one BLAS thread and the GEMMs sum in one fixed order.
@@ -79,17 +80,20 @@ def main(argv=None):
         for name, cfg in (("train6", cfg6), ("train0", cfg0)):
             _run(repo, ["train", "--config", cfg, "--dataset", path("data", "train.tdset"),
                         "--out", path(name)])
-        for name, ckpt in (("eval_bench", bench_ckpt),
-                           ("eval_train0", path("train0", "checkpoint")),
-                           ("eval_train6", path("train6", "checkpoint"))):
-            _run(repo, ["eval", "--dataset", val, "--checkpoint", ckpt, "--out", path(name)])
+        for name, ckpt, extra in (("eval_bench", bench_ckpt, []),
+                                  ("eval_train0", path("train0", "checkpoint"), []),
+                                  ("eval_train6", path("train6", "checkpoint"), []),
+                                  ("eval_train6_config", path("train6", "checkpoint"),
+                                   ["--config", cfg6])):
+            _run(repo, ["eval", "--dataset", val, "--checkpoint", ckpt, "--out", path(name)]
+                 + extra)
         _run(repo, ["analyze", "--dataset", val, "--checkpoint", bench_ckpt,
                     "--baseline", path("train6", "checkpoint"), "--out", path("analyze")])
         gradcheck = _run(repo, ["gradcheck"])
 
         lines = []
         for name in ("data", "train6", "train0", "eval_bench", "eval_train0",
-                     "eval_train6", "analyze"):
+                     "eval_train6", "eval_train6_config", "analyze"):
             lines += _hash_tree(path(name), name)
         lines.append(f"{_digest(gradcheck)}  gradcheck/stdout")
     print("\n".join(lines))
