@@ -17,6 +17,10 @@ class GeometryError(AligndetError, ValueError):
     """Invalid box geometry (e.g. negative point-to-edge distances)."""
 
 
+class NumericError(AligndetError, ValueError):
+    """An input that must be finite holds NaN or an infinity."""
+
+
 class FormatError(AligndetError, ValueError):
     """Malformed serialized data.
 

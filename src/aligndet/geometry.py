@@ -8,6 +8,7 @@ op with a closed-form gradient, with these functions serving as its oracle.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,32 @@ class Detection:
     score: float
     class_id: int
     anchor_index: int = -1
+
+
+class Candidates(Sequence):
+    """Detection candidates as four arrays: [n,4] boxes, scores, classes, anchors.
+
+    A read-only sequence that builds a ``Detection`` only for an item asked
+    for. Every box is checked up front: a NaN coordinate raises ``Box``'s error.
+    """
+
+    def __init__(self, boxes, scores, classes, anchors):
+        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.classes = np.asarray(classes, dtype=np.int64)
+        self.anchors = np.asarray(anchors, dtype=np.int64)
+        x1, y1, x2, y2 = self.boxes.T
+        bad = np.flatnonzero(~((x2 > x1) & (y2 > y1)))
+        if bad.size:
+            Box(*self.boxes[bad[0]].tolist())  # raises GeometryError
+
+    def __len__(self):
+        return self.scores.size
+
+    def __getitem__(self, i):
+        c = int(self.classes[i])
+        return Detection(Box(*self.boxes[i].tolist(), class_id=c), float(self.scores[i]), c,
+                         int(self.anchors[i]))
 
 
 def _as_boxes(arr):
@@ -138,10 +165,10 @@ def nms(detections, iou_threshold=0.6, max_detections=None):
     once ``max_detections`` are kept (None: no limit), which is the same
     list as the first ``max_detections`` of an unlimited run.
 
-    Each kept candidate suppresses the later live candidates of its class
-    with one row of ``pairwise_iou``'s arithmetic on box columns taken once,
-    so the work is bounded by the number kept, and memory by the number of
-    candidates.
+    ``detections`` is a list of ``Detection`` or a ``Candidates``, of which
+    only the kept items are built. Each kept candidate suppresses its class's
+    later live candidates with one row of ``pairwise_iou``'s arithmetic on
+    box columns taken once, so the work is bounded by the number kept.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise GeometryError(f"iou_threshold must be in [0,1], got {iou_threshold}")
@@ -150,14 +177,16 @@ def nms(detections, iou_threshold=0.6, max_detections=None):
     n = len(detections)
     if n == 0 or max_detections == 0:
         return []
-    scores = np.array([d.score for d in detections], dtype=np.float64)
-    anchors = np.array([d.anchor_index for d in detections], dtype=np.int64)
-    order = np.lexsort((np.arange(n), anchors, -scores))
-    cols = np.array(
-        [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections], dtype=np.float64
-    )[order].T.copy()
+    cands = detections if isinstance(detections, Candidates) else Candidates(
+        [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections],
+        [d.score for d in detections], [d.class_id for d in detections],
+        [d.anchor_index for d in detections])
+    order = np.lexsort((np.arange(n), cands.anchors, -cands.scores))
+    cols = cands.boxes[order].T.copy()
     areas = (cols[2] - cols[0]) * (cols[3] - cols[1])
-    classes = np.array([d.class_id for d in detections], dtype=np.int64)[order]
+    classes = cands.classes[order]
+    # each class's positions in visit order
+    members = {c: np.flatnonzero(classes == c) for c in np.unique(classes).tolist()}
     live = np.ones(n, dtype=bool)
     kept = []
     for i in range(n):
@@ -166,7 +195,9 @@ def nms(detections, iou_threshold=0.6, max_detections=None):
         kept.append(detections[order[i]])
         if len(kept) == max_detections:
             break
-        rivals = i + 1 + np.flatnonzero(live[i + 1:] & (classes[i + 1:] == classes[i]))
+        same = members[classes[i]]
+        rivals = same[np.searchsorted(same, i) + 1:]
+        rivals = rivals[live[rivals]]
         if rivals.size:
             overlap = _iou(cols[:, i], areas[i], cols[:, rivals], areas[rivals])
             live[rivals[overlap > iou_threshold]] = False

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import decode_boxes
 from .errors import ShapeError
-from .geometry import Box, Detection, centers_inside, nms, pairwise_iou
+from .geometry import Candidates, centers_inside, nms, pairwise_iou
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.5, 1.0, 0.05), 2))
 
@@ -128,14 +128,10 @@ def detections_from_outputs(p_align, b_align, grid, score_floor=0.05,
     boxes = decode_boxes(b_align, grid)
     anchor, cls = np.nonzero(p > score_floor)
     x1, y1, x2, y2 = boxes[anchor].T
-    # skip boxes decoded inside out; a NaN box is not skipped and Box rejects it
+    # skip boxes decoded inside out; a NaN box is not skipped and Candidates rejects it
     keep = ~((x2 <= x1) | (y2 <= y1))
     anchor, cls = anchor[keep], cls[keep]
-    candidates = [
-        Detection(Box(*box, class_id=c), score, c, a)
-        for a, c, score, box in zip(anchor.tolist(), cls.tolist(),
-                                    p[anchor, cls].tolist(), boxes[anchor].tolist())
-    ]
+    candidates = Candidates(boxes[anchor], p[anchor, cls], cls, anchor)
     return nms(candidates, iou_threshold=nms_iou, max_detections=max_detections)
 
 

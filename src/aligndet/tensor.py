@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, GraphError, ShapeError
+from .errors import FormatError, GraphError, NumericError, ShapeError
 
 # sqrt inputs are clamped here so the gradient of sqrt(P*M) stays bounded
 # as the product approaches zero.
@@ -569,6 +569,8 @@ def bilinear_sample_per_channel(feature_map, offsets):
     accumulate). An offset receives the slope of the interpolated surface
     along its axis, taken in the cell it falls in; the slope is zero where
     the coordinate was clamped, that is at or beyond either border.
+
+    A NaN or infinite offset names no cell and raises ``NumericError``.
     """
     feature_map = _lift(feature_map, np.float32)
     offsets = _lift(offsets, feature_map.dtype)
@@ -577,6 +579,8 @@ def bilinear_sample_per_channel(feature_map, offsets):
     h, w, c = feature_map.shape
     if offsets.shape != (h, w, 2 * c):
         raise ShapeError(f"offsets {offsets.shape} do not fit map {feature_map.shape}")
+    if not np.isfinite(offsets.data).all():
+        raise NumericError("non-finite sampling offsets")
     ii, jj = np.mgrid[0:h, 0:w].astype(offsets.dtype)
     rows = offsets.data[..., 0::2] + ii[:, :, None]
     cols = offsets.data[..., 1::2] + jj[:, :, None]

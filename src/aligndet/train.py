@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import assign, center_sampling_assign
-from .errors import CheckpointError, ConfigError, TrainingError
+from .errors import CheckpointError, ConfigError, NumericError, TrainingError
 from .losses import total_loss
 from .model import ModelConfig, build_model
 from .scenes import read_dataset
@@ -72,7 +72,10 @@ def train_step(batch, params, forward, state, cfg):
     grid = cfg.grid()
     sums = {"cls_pos": 0.0, "cls_neg": 0.0, "reg": 0.0, "total": 0.0}
     for record in batch:
-        outputs = forward(record.image)
+        try:
+            outputs = forward(record.image)
+        except NumericError as exc:
+            raise TrainingError(f"{exc} at step {state.step} (scene seed {record.seed})") from None
         assignment = _assign_for(cfg, record, outputs)
         breakdown = total_loss(
             outputs.P_align, outputs.B_align, assignment, record.instances, grid,

@@ -255,6 +255,18 @@ class TestTrain:
         assert err.startswith("error: ") and next(iter(value)) in err
         assert not out.exists()
 
+    def test_diverging_run_ends_in_training_error(self, tmp_path, generated, capsys):
+        # lr 1e30 overflows the weights in step 0's update, so step 1's
+        # sampling offsets are NaN: a typed error naming the step, not an IndexError
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps(config_dict(lr=1e30, steps=3)))
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(cfg),
+                         "--dataset", str(generated / "train.tdset"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite sampling offsets at step 1 \(scene seed \d+\)\n", err)
+
     def test_numbers_and_lists_where_the_defaults_want_them(self):
         # an int may stand for a float, and a list of ints for a tuple
         cfg = ModelConfig.from_json('{"lr": 1, "backbone_strides": [2, 2, 2, 1]}')

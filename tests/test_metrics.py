@@ -9,9 +9,9 @@ from oracle_utils import (
     nms_reference,
 )
 
-from aligndet import geometry
-from aligndet.assignment import AnchorGrid
-from aligndet.errors import ShapeError
+from aligndet import geometry, metrics
+from aligndet.assignment import AnchorGrid, decode_boxes
+from aligndet.errors import GeometryError, ShapeError
 from aligndet.geometry import Box, Detection, nms
 from aligndet.metrics import (
     IOU_THRESHOLDS,
@@ -27,7 +27,7 @@ from aligndet.metrics import (
     pcc,
 )
 from aligndet.model import ModelConfig, build_model
-from aligndet.scenes import SceneRecord, SplitMix64
+from aligndet.scenes import DatasetConfig, SceneRecord, SplitMix64, generate_scene
 
 
 def det(x1, y1, x2, y2, score, class_id=0, anchor=0):
@@ -315,6 +315,35 @@ class TestDetectionsFromOutputs:
                                        nms_iou=1.0, max_detections=5)
         assert len(dets) == 5
 
+    def test_nan_box_rejected(self):
+        # an inside-out box is skipped, a NaN one is an error, kept or not
+        p = np.full((2, 2, 2), 0.5)
+        p[1, 0, 0] = 0.9
+        b = np.ones((2, 2, 4))
+        b[0, 1] = [-2.0, 1.0, 1.0, 1.0]
+        b[1, 1, 2] = np.nan
+        with pytest.raises(GeometryError, match=r"degenerate box \(.*nan.*\)"):
+            detections_from_outputs(p, b, self.grid, max_detections=1)
+
+    @pytest.mark.parametrize("model_seed", range(5))
+    def test_step0_scene_matches_scalar_greedy(self, model_seed):
+        # on scene 3 every step-0 score of these five models clears the
+        # floor, so all 768 candidates reach NMS
+        cfg = ModelConfig(seed=model_seed)
+        _, forward = build_model(cfg)
+        grid = cfg.grid()
+        out = forward(generate_scene(3, DatasetConfig()).image)
+        p = out.P_align.data.astype(np.float64).reshape(grid.count, -1)
+        assert p.size == 768 and (p > 0.05).all()
+        boxes = decode_boxes(out.B_align.data, grid)
+        cands = [Detection(Box(*boxes[a].tolist(), class_id=c), float(p[a, c]), c, a)
+                 for a, c in zip(*np.nonzero(p > 0.05))]
+        want = [(d.anchor_index, d.class_id, d.score, d.box) for d in nms_reference(cands)]
+        for limit in (100, None):
+            got = detections_from_outputs(out.P_align.data, out.B_align.data, grid,
+                                          max_detections=limit)
+            assert [(d.anchor_index, d.class_id, d.score, d.box) for d in got] == want[:limit]
+
 
 # Small integer boxes make IoUs such as 1/2, 3/5 and 3/4 exact, so they land
 # exactly on the NMS and AP thresholds; few scores and anchors force ties.
@@ -435,9 +464,28 @@ class TestBoundedCost:
             rows.append((np.shape(area_a), np.shape(area_b)))
             return iou(a, area_a, b, area_b)
 
+        built = []
+        init = Detection.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        seen = []
+        nms_fn = metrics.nms
+
+        def counting_nms(candidates, *args, **kwargs):
+            seen.append(len(candidates))
+            return nms_fn(candidates, *args, **kwargs)
+
         monkeypatch.setattr(geometry, "_iou", counting_iou)
+        monkeypatch.setattr(Detection, "__init__", counting_init)
+        monkeypatch.setattr(metrics, "nms", counting_nms)
         dets = detections_from_outputs(p, b, grid, max_detections=100)
         assert len(dets) == 100
+        # one NMS call sees every candidate; only the kept become Detections
+        assert seen == [768]
+        assert len(built) <= 100
         assert [(d.anchor_index, d.class_id) for d in dets] == [
             divmod(k, 3) for k in range(100)
         ]

@@ -11,7 +11,7 @@ from oracle_utils import (
 )
 
 from aligndet import tensor as T
-from aligndet.errors import FormatError, GraphError, ShapeError
+from aligndet.errors import FormatError, GraphError, NumericError, ShapeError
 from aligndet.tensor import Tensor
 
 
@@ -326,6 +326,13 @@ class TestBilinear:
         assert low.data[0, 0, 0] == pytest.approx(0.0)
         assert high.data[0, 0, 0] == pytest.approx(3.0)
         assert np.all(low.data == 0.0) and np.all(high.data == 3.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected(self, bad):
+        # cast to an int64 index, a NaN coordinate would fail as an IndexError
+        m = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2, 1))
+        with pytest.raises(NumericError, match="non-finite sampling offsets"):
+            T.bilinear_sample_per_channel(m, offsets_at(2, 2, 1, 0, 0.0, bad))
 
     def test_coordinate_gradient(self):
         # map [[0,1],[2,3]]: at (0.5, 0.5) slope is 2 along rows, 1 along cols

@@ -5,6 +5,11 @@ parent) on the same machine and diff the output:
 
     python3 tools/artifact_hashes.py [--repo PATH]
 
+or let it run both and print only the lines that differ, ``-`` for the
+other checkout's and ``+`` for this one's; it exits 1 if any line differs:
+
+    python3 tools/artifact_hashes.py [--repo PATH] --against OTHER
+
 In a temporary directory it runs ``gen`` (16 train and 4 val scenes at the
 default dataset config), ``train`` for 6 steps and for 0 steps at the default
 model config, ``eval`` of ``bench/checkpoint/`` and of both new checkpoints on
@@ -56,14 +61,9 @@ def _hash_tree(root, label):
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        help="checkout to run (default: the one holding this script)")
-    args = parser.parse_args(argv)
-    repo = os.path.abspath(args.repo)
+def artifact_hashes(repo):
+    """The hash lines of every artifact that ``repo``'s CLI writes, sorted by label."""
     bench_ckpt = os.path.join(repo, "bench", "checkpoint")
-
     with tempfile.TemporaryDirectory(prefix="artifact_hashes_") as tmp:
         def path(*parts):
             return os.path.join(tmp, *parts)
@@ -96,8 +96,26 @@ def main(argv=None):
                      "eval_train6", "eval_train6_config", "analyze"):
             lines += _hash_tree(path(name), name)
         lines.append(f"{_digest(gradcheck)}  gradcheck/stdout")
-    print("\n".join(lines))
-    return 0
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("--repo", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        help="checkout to run (default: the one holding this script)")
+    parser.add_argument("--against", metavar="OTHER",
+                        help="also run checkout OTHER; print only the differing lines, exit 1 if any")
+    args = parser.parse_args(argv)
+    lines = artifact_hashes(os.path.abspath(args.repo))
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    other = artifact_hashes(os.path.abspath(args.against))
+    differ = [f"- {line}" for line in other if line not in lines]
+    differ += [f"+ {line}" for line in lines if line not in other]
+    if differ:
+        print("\n".join(differ))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
