@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import centers_inside, pairwise_giou, pairwise_iou
+from .geometry import centers_inside, instance_arrays, pairwise_giou, pairwise_iou
 
 ALPHA = 1.0
 BETA = 6.0
@@ -112,6 +112,22 @@ def _empty_assignment(n):
     )
 
 
+def _labels(is_positive, owner, classes, u, t):
+    """Labels of each positive anchor's owner from [A,N] u and t; t_hat per instance."""
+    out = _empty_assignment(is_positive.size)
+    pos = np.flatnonzero(is_positive)
+    own = owner[pos]
+    out.is_positive[pos] = True
+    out.instance_index[pos] = own
+    out.matched_class[pos] = classes[own]
+    out.u[pos] = u[pos, own]
+    out.t[pos] = t[pos, own]
+    for n in range(classes.size):
+        mine = pos[own == n]
+        out.t_hat[mine] = normalize_t(out.t[mine], out.u[mine])
+    return out
+
+
 def assign(instances, grid, p_align, b_align, m=TOP_M, alpha=ALPHA, beta=BETA):
     """Task-aligned assignment over one image's predictions.
 
@@ -125,15 +141,13 @@ def assign(instances, grid, p_align, b_align, m=TOP_M, alpha=ALPHA, beta=BETA):
         raise ValueError(f"m must be >= 1, got {m}")
     p = np.asarray(p_align, dtype=np.float64)
     n_anchor = grid.count
-    out = _empty_assignment(n_anchor)
     if not instances:
-        return out
+        return _empty_assignment(n_anchor)
     if p.shape[:2] != (grid.height, grid.width):
         raise ShapeError(f"score map {p.shape} does not match grid")
     scores = p.reshape(n_anchor, -1)
     boxes = decode_boxes(b_align, grid)
-    gt = np.stack([b.as_array() for b, _ in instances])
-    classes = np.array([c for _, c in instances], dtype=np.int64)
+    gt, classes = instance_arrays(instances)
     if classes.max() >= scores.shape[1]:
         raise ShapeError(
             f"instance class {classes.max()} out of range for K={scores.shape[1]}"
@@ -145,47 +159,27 @@ def assign(instances, grid, p_align, b_align, m=TOP_M, alpha=ALPHA, beta=BETA):
     xs, ys = grid.points()
     candidate = centers_inside(xs, ys, gt)         # [A, N]
 
-    n_inst = len(instances)
-    claimed = [[] for _ in range(n_anchor)]
-    for n in range(n_inst):
-        cand = np.flatnonzero(candidate[:, n])
-        if cand.size == 0:
-            continue
-        # stable top-m: sort by t descending, anchor index ascending
-        order = cand[np.lexsort((cand, -t[cand, n]))]
-        for a in order[: min(m, order.size)]:
-            claimed[a].append(n)
-
-    for a in range(n_anchor):
-        if not claimed[a]:
-            continue
-        best = min(claimed[a], key=lambda n: (-u[a, n], n))
-        out.is_positive[a] = True
-        out.instance_index[a] = best
-        out.matched_class[a] = classes[best]
-        out.u[a] = u[a, best]
-        out.t[a] = t[a, best]
-
-    for n in range(n_inst):
-        pos = out.positives_of(n)
-        if pos.size:
-            out.t_hat[pos] = normalize_t(out.t[pos], out.u[pos])
-    return out
+    # per instance, a stable top-m: candidates first, then t descending, then anchor index
+    top = np.lexsort((-t, ~candidate), axis=0)[:m]
+    claims = np.zeros_like(candidate)
+    np.put_along_axis(claims, top, True, axis=0)
+    claims &= candidate
+    owner = np.where(claims, u, -1.0).argmax(axis=1)
+    return _labels(claims.any(axis=1), owner, classes, u, t)
 
 
 def center_sampling_assign(instances, grid, shrink=0.5):
     """Fixed geometric baseline: positives are anchors inside the shrunk box.
 
     Each box keeps ``shrink`` of its width and height around its center;
-    anchors inside claim the instance, conflicts go to the smaller box.
-    Labels are hard: t_hat = 1 at every positive. Prediction-independent,
-    so it never adapts to what the model currently does well.
+    anchors inside claim the instance, conflicts go to the smaller box
+    (ties to the lower instance index). Labels are hard: t_hat = 1 at every
+    positive. Prediction-independent, so it never adapts to what the model
+    currently does well.
     """
-    n_anchor = grid.count
-    out = _empty_assignment(n_anchor)
     if not instances:
-        return out
-    gt = np.stack([b.as_array() for b, _ in instances])
+        return _empty_assignment(grid.count)
+    gt, classes = instance_arrays(instances)
     cx = (gt[:, 0] + gt[:, 2]) / 2
     cy = (gt[:, 1] + gt[:, 3]) / 2
     hw = (gt[:, 2] - gt[:, 0]) * shrink / 2
@@ -194,17 +188,9 @@ def center_sampling_assign(instances, grid, shrink=0.5):
     xs, ys = grid.points()
     inside = centers_inside(xs, ys, shrunk)
     areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
-    classes = np.array([c for _, c in instances], dtype=np.int64)
-    for a in np.flatnonzero(inside.any(axis=1)):
-        hits = np.flatnonzero(inside[a])
-        best = hits[np.lexsort((hits, areas[hits]))[0]]
-        out.is_positive[a] = True
-        out.instance_index[a] = best
-        out.matched_class[a] = classes[best]
-        out.u[a] = 1.0
-        out.t[a] = 1.0
-        out.t_hat[a] = 1.0
-    return out
+    owner = np.where(inside, areas, np.inf).argmin(axis=1)
+    ones = np.ones(inside.shape)
+    return _labels(inside.any(axis=1), owner, classes, ones, ones)
 
 
 CSV_COLUMNS = (
@@ -229,8 +215,7 @@ def dump_assignment_csv(path, grid, p_align, b_align, assignment, instances):
     pos = np.flatnonzero(assignment.is_positive)
     if pos.size and instances:
         boxes = decode_boxes(b_align, grid)
-        gt = np.stack([b.as_array() for b, _ in instances])
-        g = pairwise_giou(boxes[pos], gt)
+        g = pairwise_giou(boxes[pos], instance_arrays(instances)[0])
         giou_col[pos] = g[np.arange(pos.size), assignment.instance_index[pos]]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -25,7 +25,6 @@ from .errors import AligndetError, ConfigError
 from .metrics import evaluate_dataset
 from .model import ModelConfig, checked_fields, model_forward, param_specs
 from .report import (
-    ensure_dir,
     write_grid_csv,
     write_loss_plot,
     write_report_csv,
@@ -118,7 +117,7 @@ def _cmd_gen(args):
     cfg, counts = _dataset_config(raw)
     stride = _model_config(raw).stride if "model" in raw else None
     cfg.validate(stride=stride)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     for split, seeds in (
         ("train", train_seeds(counts["train_count"])),
         ("val", val_seeds(counts["val_count"])),
@@ -183,7 +182,7 @@ def _cmd_eval(args):
         return out
 
     report = evaluate_dataset(forward_keeping_first, records, cfg.grid())
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     write_single_report_csv(os.path.join(args.out, "alignment_report.csv"), report)
     write_grid_csv(os.path.join(args.out, "score_map.csv"), score_maps[0])
     for column, value in zip(report.COLUMNS, report.csv_row()):
@@ -199,7 +198,7 @@ def _cmd_analyze(args):
         cfg, forward, _ = _restore(path, args.config)
         check_records(records, cfg, args.dataset)
         rows.append((label, evaluate_dataset(forward, records, cfg.grid())))
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     write_report_csv(os.path.join(args.out, "analyze_report.csv"), rows)
     write_report_plot(os.path.join(args.out, "analyze_report.svg"), rows)
     header = ["model"] + list(rows[0][1].COLUMNS)

@@ -63,6 +63,15 @@ class Candidates(Sequence):
         if bad.size:
             Box(*self.boxes[bad[0]].tolist())  # raises GeometryError
 
+    @classmethod
+    def of(cls, detections):
+        """A list of ``Detection`` packed once; a ``Candidates`` is returned as it is."""
+        if isinstance(detections, Candidates):
+            return detections
+        return cls([(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections],
+                   [d.score for d in detections], [d.class_id for d in detections],
+                   [d.anchor_index for d in detections])
+
     def __len__(self):
         return self.scores.size
 
@@ -70,6 +79,13 @@ class Candidates(Sequence):
         c = int(self.classes[i])
         return Detection(Box(*self.boxes[i].tolist(), class_id=c), float(self.scores[i]), c,
                          int(self.anchors[i]))
+
+
+def instance_arrays(instances):
+    """(boxes [n,4] float64, classes [n] int64) of a list of (Box, class_id) pairs."""
+    boxes = [(b.x1, b.y1, b.x2, b.y2) for b, _ in instances]
+    return (np.array(boxes, dtype=np.float64).reshape(-1, 4),
+            np.array([c for _, c in instances], dtype=np.int64))
 
 
 def _as_boxes(arr):
@@ -177,10 +193,7 @@ def nms(detections, iou_threshold=0.6, max_detections=None):
     n = len(detections)
     if n == 0 or max_detections == 0:
         return []
-    cands = detections if isinstance(detections, Candidates) else Candidates(
-        [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections],
-        [d.score for d in detections], [d.class_id for d in detections],
-        [d.anchor_index for d in detections])
+    cands = Candidates.of(detections)
     order = np.lexsort((np.arange(n), cands.anchors, -cands.scores))
     cols = cands.boxes[order].T.copy()
     areas = (cols[2] - cols[0]) * (cols[3] - cols[1])

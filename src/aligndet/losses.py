@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .geometry import instance_arrays
 from .tensor import Tensor
 
 GAMMA = 2.0
@@ -65,7 +66,7 @@ def total_loss(p_align, b_align, assignment, instances, grid, gamma=GAMMA):
         reg_term = Tensor(np.zeros((), dtype=b_align.dtype))
     else:
         xs, ys = grid.points()
-        gt = np.stack([b.as_array() for b, _ in instances])[assignment.instance_index[pos]]
+        gt = instance_arrays(instances)[0][assignment.instance_index[pos]]
         reg_term = T.giou_loss(
             b_align, pos, np.stack([xs[pos], ys[pos]], axis=1), gt,
             assignment.t_hat[pos], grid.stride, norm,

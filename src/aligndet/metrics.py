@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import decode_boxes
 from .errors import ShapeError
-from .geometry import Candidates, centers_inside, nms, pairwise_iou
+from .geometry import Candidates, centers_inside, instance_arrays, nms, pairwise_iou
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.5, 1.0, 0.05), 2))
 
@@ -85,11 +85,11 @@ def instance_pools(p_align, b_align, instances, grid):
     p = np.asarray(p_align, dtype=np.float64).reshape(grid.count, -1)
     boxes = decode_boxes(b_align, grid)
     xs, ys = grid.points()
-    gt = np.stack([b.as_array() for b, _ in instances])
+    gt, classes = instance_arrays(instances)
     inside = centers_inside(xs, ys, gt)
     ious = pairwise_iou(boxes, gt)
     pools = []
-    for n, (_, class_id) in enumerate(instances):
+    for n, class_id in enumerate(classes.tolist()):
         cand = np.flatnonzero(inside[:, n])
         pools.append((p[cand, class_id], ious[cand, n]))
     return pools
@@ -135,10 +135,6 @@ def detections_from_outputs(p_align, b_align, grid, score_floor=0.05,
     return nms(candidates, iou_threshold=nms_iou, max_detections=max_detections)
 
 
-def _box_array(items):
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in items], dtype=np.float64).reshape(-1, 4)
-
-
 def box_census(detections, instances):
     """(n_correct, n_redundant, n_error) over one image's detections.
 
@@ -151,12 +147,11 @@ def box_census(detections, instances):
     """
     if not detections or not instances:
         return 0, 0, 0
-    det_classes = np.array([d.class_id for d in detections])
-    gt_classes = np.array([cls for _, cls in instances])
+    dets = Candidates.of(detections)
+    gt_boxes, gt_classes = instance_arrays(instances)
     # other-class pairs read -1, below every bucket
-    ious = np.where(det_classes[:, None] == gt_classes[None, :],
-                    pairwise_iou(_box_array(d.box for d in detections),
-                                 _box_array(b for b, _ in instances)), -1.0)
+    ious = np.where(dets.classes[:, None] == gt_classes[None, :],
+                    pairwise_iou(dets.boxes, gt_boxes), -1.0)
     best = ious.argmax(axis=1)
     best_iou = ious.max(axis=1)
     hit = best_iou >= 0.5
@@ -191,23 +186,23 @@ def _class_ap(image_dets, image_gts, class_id):
     lower anchor index) to the unmatched ground truth of highest IoU at or
     above the threshold (the first one on ties). One IoU matrix per image
     serves every threshold. Detections from all images are then ranked by
-    score, image, and in-image rank.
+    score, image, and in-image rank. Each image's detections come as a
+    ``Candidates`` and its ground truth as ``instance_arrays``' pair.
     """
     thresholds = np.array(IOU_THRESHOLDS)[:, None]
     scores, images, ranks, hits = [], [], [], []
     n_gt = 0
-    for img, (dets, gts) in enumerate(zip(image_dets, image_gts)):
-        gt_boxes = _box_array(b for b, cls in gts if cls == class_id)
+    for img, (dets, (gt_boxes, gt_classes)) in enumerate(zip(image_dets, image_gts)):
+        gt_boxes = gt_boxes[gt_classes == class_id]
         n_gt += len(gt_boxes)
-        cls_dets = [d for d in dets if d.class_id == class_id]
-        if not cls_dets:
+        mine = np.flatnonzero(dets.classes == class_id)
+        if not mine.size:
             continue
-        det_scores = np.array([d.score for d in cls_dets], dtype=np.float64)
-        order = np.lexsort((np.array([d.anchor_index for d in cls_dets], dtype=np.int64),
-                            -det_scores))
+        det_scores = dets.scores[mine]
+        order = np.lexsort((dets.anchors[mine], -det_scores))
         hit = np.zeros((thresholds.size, order.size), dtype=bool)
         if len(gt_boxes):
-            ious = pairwise_iou(_box_array(cls_dets[k].box for k in order), gt_boxes)
+            ious = pairwise_iou(dets.boxes[mine[order]], gt_boxes)
             taken = np.zeros((thresholds.size, len(gt_boxes)), dtype=bool)
             for rank in np.flatnonzero(ious.max(axis=1) >= thresholds.min()):
                 free = ~taken & (ious[rank] >= thresholds)
@@ -236,7 +231,9 @@ def average_precision(image_dets, image_gts):
     Every class averaged has ground truth, so each _class_ap is a list of
     numbers; AP50 is its first entry, since IOU_THRESHOLDS starts at 0.5.
     """
-    classes = sorted({cls for gts in image_gts for _, cls in gts})
+    image_dets = [Candidates.of(dets) for dets in image_dets]
+    image_gts = [instance_arrays(gts) for gts in image_gts]
+    classes = sorted({c for _, gt_classes in image_gts for c in gt_classes.tolist()})
     if not classes:
         return None, None
     ap50_per_class = []

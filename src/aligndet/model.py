@@ -109,10 +109,7 @@ class ModelConfig:
         return AnchorGrid(height=cells, width=cells, stride=self.stride)
 
     def to_json(self):
-        d = asdict(self)
-        d["backbone_channels"] = list(self.backbone_channels)
-        d["backbone_strides"] = list(self.backbone_strides)
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text):

@@ -7,7 +7,6 @@ without any plotting dependency; open the files in a browser.
 from __future__ import annotations
 
 import csv
-import os
 
 from .metrics import AlignmentReport
 
@@ -140,8 +139,3 @@ def write_report_plot(path, rows):
     legend = [(label, colors[ri % len(colors)]) for ri, label in enumerate(labels)]
     with open(path, "w") as fh:
         fh.write(_frame("alignment diagnostics", "", "value in [0, 1]", body, legend))
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .geometry import Box
+from .geometry import Box, instance_arrays
 from .tensor import tensor_from_bytes, tensor_to_bytes
 
 CLASS_NAMES = ("disk", "square", "triangle")
@@ -118,12 +118,10 @@ class SceneRecord:
     seed: int = 0
 
     def boxes_array(self):
-        if not self.instances:
-            return np.zeros((0, 4), dtype=np.float64)
-        return np.stack([b.as_array() for b, _ in self.instances])
+        return instance_arrays(self.instances)[0]
 
     def classes_array(self):
-        return np.array([c for _, c in self.instances], dtype=np.int64)
+        return instance_arrays(self.instances)[1]
 
 
 # -- rasterization -------------------------------------------------------

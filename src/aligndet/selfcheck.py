@@ -30,6 +30,9 @@ from .scenes import (
 )
 from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
+GRADIENT_TOLERANCE = 1e-3   # max relative error of the full-graph finite differences
+ASSIGNMENT_CASES = 50
+
 
 def _check_cfg(seed=0):
     """The tiny model the gradient checks run on (acceptance c2 and c8 too)."""
@@ -66,7 +69,7 @@ def _fixture_record(seed):
     return image, instances
 
 
-def gradient_suite(seeds=(0, 1, 2), tolerance=1e-3):
+def gradient_suite(seeds=(0, 1, 2)):
     """Finite differences against the full backbone+head+loss graph."""
     results = []
     for seed in seeds:
@@ -86,7 +89,7 @@ def gradient_suite(seeds=(0, 1, 2), tolerance=1e-3):
 
         err = T.grad_check(build, params, eps=1e-5, coords_per_param=2, seed=seed)
         results.append((f"gradient/full-graph/seed{seed}",
-                        err < tolerance, f"max rel err {err:.3e}"))
+                        err < GRADIENT_TOLERANCE, f"max rel err {err:.3e}"))
     return results
 
 
@@ -184,13 +187,13 @@ def brute_force_assign(instances, grid, p_align, b_align, m, alpha, beta):
     return is_positive, instance_index, t_hat
 
 
-def assignment_suite(n_cases=50, seed=0):
+def assignment_suite(seed=0):
     """Vectorized assigner vs the reference, random grids and instances."""
     rng = SplitMix64(seed)
     failures = 0
     detail = ""
     norm_ok = True
-    for case in range(n_cases):
+    for case in range(ASSIGNMENT_CASES):
         h = int(rng.randint(2, 17))
         w = int(rng.randint(2, 17))
         stride = 8
@@ -225,7 +228,7 @@ def assignment_suite(n_cases=50, seed=0):
             if anchors.size:
                 if abs(got.t_hat[anchors].max() - got.u[anchors].max()) > 1e-12:
                     norm_ok = False
-    results = [(f"assignment/reference-equality/{n_cases}cases", failures == 0,
+    results = [(f"assignment/reference-equality/{ASSIGNMENT_CASES}cases", failures == 0,
                 detail or "all cases match")]
     results.append(("assignment/max-that-equals-max-u", norm_ok,
                     "normalization cap holds" if norm_ok else "cap violated"))
@@ -282,7 +285,7 @@ def format_suite():
     return results
 
 
-def run_all(out=None, seed=0):
+def run_all(seed=0):
     """Run every suite, print one line per check, return overall success."""
     params, forward = build_model(_check_cfg(seed=7))
     _perturb(params, 123)
@@ -297,9 +300,5 @@ def run_all(out=None, seed=0):
     for results in suites:
         for name, ok, detail in results:
             all_ok = all_ok and ok
-            line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
-            if out is not None:
-                out.write(line + "\n")
-            else:
-                print(line)
+            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

@@ -123,7 +123,11 @@ def train(cfg, dataset_path, out_dir, checkpoint_every=None, progress=None):
     ``out_dir`` receives loss_curve.csv and a final ``checkpoint``
     directory (plus ``checkpoint_step{N}`` snapshots when
     ``checkpoint_every`` is set). ``progress`` is an optional callable
-    invoked as progress(step, losses_dict).
+    invoked as progress(step, losses_dict). The curve is written under a
+    temporary name and renamed into place after the final checkpoint, so a
+    run that raises leaves an earlier run's curve as it was. Steps run with
+    numpy's float warnings off: the sampler's offset check, the loss check
+    and the checkpoint's finite check report a non-finite value instead.
     """
     cfg.validate()
     records = read_dataset(dataset_path)
@@ -132,28 +136,35 @@ def train(cfg, dataset_path, out_dir, checkpoint_every=None, progress=None):
     params, forward = build_model(cfg)
     state = OptState()
     history = []
-    curve_path = os.path.join(out_dir, "loss_curve.csv")
-    with open(curve_path, "w", newline="") as curve:
-        writer = csv.writer(curve)
-        writer.writerow(["step", "cls_pos", "cls_neg", "reg", "total"])
-        for step in range(cfg.steps):
-            batch = [
-                records[(step * cfg.batch_size + k) % len(records)]
-                for k in range(cfg.batch_size)
-            ]
-            losses = train_step(batch, params, forward, state, cfg)
-            history.append(losses)
-            writer.writerow(
-                [step] + [f"{losses[k]:.8g}" for k in ("cls_pos", "cls_neg", "reg", "total")]
-            )
-            if checkpoint_every and (step + 1) % checkpoint_every == 0 and step + 1 < cfg.steps:
-                save_checkpoint(
-                    params, os.path.join(out_dir, f"checkpoint_step{step + 1}"),
-                    step=step + 1, config=cfg,
+    staged = os.path.join(out_dir, f".loss_curve.csv.tmp-{uuid.uuid4().hex}")
+    try:
+        with open(staged, "w", newline="") as curve, \
+                np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            writer = csv.writer(curve)
+            writer.writerow(["step", "cls_pos", "cls_neg", "reg", "total"])
+            for step in range(cfg.steps):
+                batch = [
+                    records[(step * cfg.batch_size + k) % len(records)]
+                    for k in range(cfg.batch_size)
+                ]
+                losses = train_step(batch, params, forward, state, cfg)
+                history.append(losses)
+                writer.writerow(
+                    [step] + [f"{losses[k]:.8g}" for k in ("cls_pos", "cls_neg", "reg", "total")]
                 )
-            if progress is not None:
-                progress(step, losses)
-    save_checkpoint(params, os.path.join(out_dir, "checkpoint"), step=cfg.steps, config=cfg)
+                if checkpoint_every and (step + 1) % checkpoint_every == 0 and step + 1 < cfg.steps:
+                    save_checkpoint(
+                        params, os.path.join(out_dir, f"checkpoint_step{step + 1}"),
+                        step=step + 1, config=cfg,
+                    )
+                if progress is not None:
+                    progress(step, losses)
+            save_checkpoint(params, os.path.join(out_dir, "checkpoint"), step=cfg.steps, config=cfg)
+        os.replace(staged, os.path.join(out_dir, "loss_curve.csv"))
+    except BaseException:
+        if os.path.exists(staged):
+            os.remove(staged)
+        raise
     return params, history
 
 

@@ -182,13 +182,27 @@ class TestAssign:
             h = 3 + seed % 4
             instances, p, b = random_fixture(seed, h=h, w=h, n_inst=1 + seed % 3)
             grid = make_grid(h, h)
-            out = assign(instances, grid, p, b, m=5)
-            ref_pos, ref_inst, ref_that = brute_force_assign(
-                instances, grid, p, b, m=5, alpha=1.0, beta=6.0
-            )
-            assert out.is_positive.tolist() == ref_pos
-            assert out.instance_index.tolist() == ref_inst
-            assert np.allclose(out.t_hat, ref_that, atol=1e-12)
+            # integer boxes put edges on anchor centers (4, 12, ...)
+            whole = [(Box(np.floor(box.x1), np.floor(box.y1), np.ceil(box.x2), np.ceil(box.y2),
+                          class_id=c), c) for box, c in instances]
+            # the plain draw, then tie-heavy ones: scores on a 0.1 grid, distances
+            # in whole strides, integer boxes, and a duplicated instance, so that
+            # every claim conflict ties on u
+            for inst, p_case, b_case in (
+                (instances, p, b),
+                (instances, np.round(p, 1), b),
+                (instances, p, np.round(b)),
+                (whole, p, b),
+                (instances + instances[:1], p, b),
+                (whole + whole[:1], np.round(p, 1), np.round(b)),
+            ):
+                out = assign(inst, grid, p_case, b_case, m=5)
+                ref_pos, ref_inst, ref_that = brute_force_assign(
+                    inst, grid, p_case, b_case, m=5, alpha=1.0, beta=6.0
+                )
+                assert out.is_positive.tolist() == ref_pos
+                assert out.instance_index.tolist() == ref_inst
+                assert np.allclose(out.t_hat, ref_that, atol=1e-12)
 
     def test_deterministic(self):
         instances, p, b = random_fixture(11, h=6, w=6, n_inst=3)
@@ -217,6 +231,15 @@ class TestCenterSampling:
         out = center_sampling_assign([big, small], grid, shrink=1.0)
         assert out.instance_index.tolist() == [1]
         assert out.matched_class.tolist() == [1]
+
+    def test_equal_areas_go_to_the_lower_index(self):
+        grid = make_grid(1, 1, stride=8)   # single anchor at (4,4)
+        left = (Box(0, 0, 6, 6, class_id=0), 0)
+        right = (Box(2, 2, 8, 8, class_id=1), 1)   # the same area, also covering (4,4)
+        for pair in ([left, right], [right, left]):
+            out = center_sampling_assign(pair, grid, shrink=1.0)
+            assert out.instance_index.tolist() == [0]
+            assert out.matched_class.tolist() == [pair[0][1]]
 
     def test_prediction_independent(self):
         # no score/box arguments at all: same labels whatever the model says

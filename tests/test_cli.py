@@ -1,10 +1,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aligndet
 from aligndet import cli
 from aligndet.cli import main
 from aligndet.errors import CheckpointError
@@ -266,6 +269,32 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite sampling offsets at step 1 \(scene seed \d+\)\n", err)
+
+    def test_diverging_run_prints_one_line(self, tmp_path, generated):
+        # in a child process, so no numpy warning is silenced by the test run
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps(config_dict(lr=1e30, steps=3)))
+        src = os.path.dirname(os.path.dirname(aligndet.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "aligndet", "train", "--config", str(cfg),
+             "--dataset", str(generated / "train.tdset"), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: non-finite sampling offsets at step 1 \(scene seed \d+\)\n",
+                            proc.stderr)
+
+    def test_failed_run_keeps_the_earlier_curve(self, tmp_path, cfg_path, generated, checkpoint):
+        run = checkpoint.parent
+        before = [(run / name).read_bytes() for name in ("loss_curve.csv", "checkpoint/params.bin")]
+        names = sorted(os.listdir(run))
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps(config_dict(lr=1e30, steps=3)))
+        assert main(["train", "--config", str(cfg),
+                     "--dataset", str(generated / "train.tdset"), "--out", str(run)]) == 2
+        assert [(run / name).read_bytes() for name in ("loss_curve.csv", "checkpoint/params.bin")] == before
+        assert sorted(os.listdir(run)) == names
 
     def test_numbers_and_lists_where_the_defaults_want_them(self):
         # an int may stand for a float, and a list of ints for a tuple

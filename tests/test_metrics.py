@@ -12,7 +12,7 @@ from oracle_utils import (
 from aligndet import geometry, metrics
 from aligndet.assignment import AnchorGrid, decode_boxes
 from aligndet.errors import GeometryError, ShapeError
-from aligndet.geometry import Box, Detection, nms
+from aligndet.geometry import Box, Candidates, Detection, instance_arrays, nms
 from aligndet.metrics import (
     IOU_THRESHOLDS,
     AlignmentReport,
@@ -434,7 +434,8 @@ class TestAgainstScalarOracles:
             for c in classes
         ]
         for c, want in zip(classes, per_class):
-            assert _class_ap(image_dets, image_gts, c) == want
+            assert _class_ap([Candidates.of(d) for d in image_dets],
+                             [instance_arrays(g) for g in image_gts], c) == want
         want = (None, None)
         if classes:
             want = (float(np.mean([p[0] for p in per_class])),
