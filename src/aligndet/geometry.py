@@ -199,7 +199,7 @@ def nms(detections, iou_threshold=0.6, max_detections=None):
     areas = (cols[2] - cols[0]) * (cols[3] - cols[1])
     classes = cands.classes[order]
     # each class's positions in visit order
-    members = {c: np.flatnonzero(classes == c) for c in np.unique(classes).tolist()}
+    members = {c: np.flatnonzero(classes == c) for c in set(classes.tolist())}
     live = np.ones(n, dtype=bool)
     kept = []
     for i in range(n):

@@ -41,15 +41,18 @@ class AlignmentReport:
 
 
 def _ranks(values):
-    """1-based ranks, ties averaged."""
+    """1-based ranks, ties averaged.
+
+    Each run of equal values in the stable sort, at sorted positions
+    [start, end), takes the mean rank (start + 1 + end) / 2, exact in float64.
+    """
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
+    s = v[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], v.size)
     ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = np.arange(1, v.size + 1, dtype=np.float64)
-    for val in np.unique(v):
-        mask = v == val
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
 
@@ -155,7 +158,7 @@ def box_census(detections, instances):
     best = ious.argmax(axis=1)
     best_iou = ious.max(axis=1)
     hit = best_iou >= 0.5
-    n_correct = int(np.unique(best[hit]).size)
+    n_correct = len(set(best[hit].tolist()))
     n_error = int(((best_iou > 0.1) & (best_iou < 0.5)).sum())
     return n_correct, int(hit.sum()) - n_correct, n_error
 
@@ -254,7 +257,7 @@ def evaluate_dataset(forward, records, grid):
     for rec in records:
         out = forward(rec.image)
         pools.extend(instance_pools(out.P_align.data, out.B_align.data, rec.instances, grid))
-        dets = detections_from_outputs(out.P_align.data, out.B_align.data, grid)
+        dets = Candidates.of(detections_from_outputs(out.P_align.data, out.B_align.data, grid))
         totals += np.array(box_census(dets, rec.instances))
         image_dets.append(dets)
         image_gts.append(rec.instances)

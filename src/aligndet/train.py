@@ -24,7 +24,7 @@ import numpy as np
 from .assignment import assign, center_sampling_assign
 from .errors import CheckpointError, ConfigError, NumericError, TrainingError
 from .losses import total_loss
-from .model import ModelConfig, build_model
+from .model import build_model
 from .scenes import read_dataset
 from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
@@ -117,17 +117,16 @@ def check_records(records, cfg, path):
                 )
 
 
-def train(cfg, dataset_path, out_dir, checkpoint_every=None, progress=None):
+def train(cfg, dataset_path, out_dir, progress=None):
     """Full run: returns (params, history) and writes curve + checkpoint.
 
-    ``out_dir`` receives loss_curve.csv and a final ``checkpoint``
-    directory (plus ``checkpoint_step{N}`` snapshots when
-    ``checkpoint_every`` is set). ``progress`` is an optional callable
-    invoked as progress(step, losses_dict). The curve is written under a
-    temporary name and renamed into place after the final checkpoint, so a
-    run that raises leaves an earlier run's curve as it was. Steps run with
-    numpy's float warnings off: the sampler's offset check, the loss check
-    and the checkpoint's finite check report a non-finite value instead.
+    ``out_dir`` receives loss_curve.csv and one ``checkpoint`` directory.
+    ``progress`` is an optional callable invoked as progress(step,
+    losses_dict). The curve is written under a temporary name and renamed
+    into place after the checkpoint, so a run that raises leaves an earlier
+    run's curve as it was. Steps run with numpy's float warnings off: the
+    sampler's offset check, the loss check and the checkpoint's finite check
+    report a non-finite value instead.
     """
     cfg.validate()
     records = read_dataset(dataset_path)
@@ -152,11 +151,6 @@ def train(cfg, dataset_path, out_dir, checkpoint_every=None, progress=None):
                 writer.writerow(
                     [step] + [f"{losses[k]:.8g}" for k in ("cls_pos", "cls_neg", "reg", "total")]
                 )
-                if checkpoint_every and (step + 1) % checkpoint_every == 0 and step + 1 < cfg.steps:
-                    save_checkpoint(
-                        params, os.path.join(out_dir, f"checkpoint_step{step + 1}"),
-                        step=step + 1, config=cfg,
-                    )
                 if progress is not None:
                     progress(step, losses)
             save_checkpoint(params, os.path.join(out_dir, "checkpoint"), step=cfg.steps, config=cfg)
@@ -210,7 +204,7 @@ def save_checkpoint(params, path, step=0, config=None):
 def _write_checkpoint_files(params, path, step, config):
     lines = [f"step {int(step)}"]
     if config is not None:
-        lines.append("config " + (config.to_json() if isinstance(config, ModelConfig) else str(config)))
+        lines.append("config " + config.to_json())
     offset = 0
     with open(os.path.join(path, PAYLOAD_NAME), "wb") as f:
         for name, p in params.items():

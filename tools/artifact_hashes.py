@@ -10,10 +10,13 @@ other checkout's and ``+`` for this one's; it exits 1 if any line differs:
 
     python3 tools/artifact_hashes.py [--repo PATH] --against OTHER
 
-In a temporary directory it runs ``gen`` (16 train and 4 val scenes at the
-default dataset config), ``train`` for 6 steps and for 0 steps at the default
-model config and for 6 steps with ``"assigner": "center"``, ``eval`` of
-``bench/checkpoint/`` and of the three new checkpoints on the val split (the
+In a temporary directory it runs ``gen`` twice (16 train and 4 val scenes,
+once at the default dataset config and once with ``"occlusion_allowed":
+true``), ``train`` for 6 steps and for 0 steps at the default model config on
+the first train split, and for 6 steps with ``"assigner": "center"`` on the
+occluded one, where one anchor lies inside two shrunk boxes, so the center
+assigner's conflict rule decides a label. It then runs ``eval`` of
+``bench/checkpoint/`` and of the three new checkpoints on their val split (the
 default 6-step one twice: with its embedded config and with ``--config``),
 ``analyze`` of ``bench/checkpoint/`` against the default 6-step checkpoint,
 and ``gradcheck``. Every file written and the ``gradcheck`` stdout
@@ -69,35 +72,39 @@ def artifact_hashes(repo):
         def path(*parts):
             return os.path.join(tmp, *parts)
 
-        def write_config(name, steps, **model):
-            cfg = {"dataset": {"train_count": 16, "val_count": 4},
+        def write_config(name, steps, dataset=None, **model):
+            cfg = {"dataset": {"train_count": 16, "val_count": 4, **(dataset or {})},
                    "model": {"steps": steps, **model}}
             with open(path(name), "w") as fh:
                 json.dump(cfg, fh)
             return path(name)
 
         cfg6, cfg0 = write_config("steps6.json", 6), write_config("steps0.json", 0)
-        cfg6_center = write_config("steps6_center.json", 6, assigner="center")
-        _run(repo, ["gen", "--config", cfg6, "--out", path("data")])
-        val = path("data", "val.tdset")
-        for name, cfg in (("train6", cfg6), ("train0", cfg0), ("train6_center", cfg6_center)):
-            _run(repo, ["train", "--config", cfg, "--dataset", path("data", "train.tdset"),
+        cfg6_center = write_config("steps6_center.json", 6, dataset={"occlusion_allowed": True},
+                                   assigner="center")
+        for data, cfg in (("data", cfg6), ("data_occluded", cfg6_center)):
+            _run(repo, ["gen", "--config", cfg, "--out", path(data)])
+        for name, cfg, data in (("train6", cfg6, "data"), ("train0", cfg0, "data"),
+                                ("train6_center", cfg6_center, "data_occluded")):
+            _run(repo, ["train", "--config", cfg, "--dataset", path(data, "train.tdset"),
                         "--out", path(name)])
-        for name, ckpt, extra in (("eval_bench", bench_ckpt, []),
-                                  ("eval_train0", path("train0", "checkpoint"), []),
-                                  ("eval_train6", path("train6", "checkpoint"), []),
-                                  ("eval_train6_config", path("train6", "checkpoint"),
-                                   ["--config", cfg6]),
-                                  ("eval_train6_center", path("train6_center", "checkpoint"), [])):
-            _run(repo, ["eval", "--dataset", val, "--checkpoint", ckpt, "--out", path(name)]
-                 + extra)
-        _run(repo, ["analyze", "--dataset", val, "--checkpoint", bench_ckpt,
-                    "--baseline", path("train6", "checkpoint"), "--out", path("analyze")])
+        for name, ckpt, data, extra in (
+                ("eval_bench", bench_ckpt, "data", []),
+                ("eval_train0", path("train0", "checkpoint"), "data", []),
+                ("eval_train6", path("train6", "checkpoint"), "data", []),
+                ("eval_train6_config", path("train6", "checkpoint"), "data", ["--config", cfg6]),
+                ("eval_train6_center", path("train6_center", "checkpoint"), "data_occluded", [])):
+            _run(repo, ["eval", "--dataset", path(data, "val.tdset"), "--checkpoint", ckpt,
+                        "--out", path(name)] + extra)
+        _run(repo, ["analyze", "--dataset", path("data", "val.tdset"),
+                    "--checkpoint", bench_ckpt, "--baseline", path("train6", "checkpoint"),
+                    "--out", path("analyze")])
         gradcheck = _run(repo, ["gradcheck"])
 
         lines = []
-        for name in ("data", "train6", "train0", "train6_center", "eval_bench", "eval_train0",
-                     "eval_train6", "eval_train6_config", "eval_train6_center", "analyze"):
+        for name in ("data", "data_occluded", "train6", "train0", "train6_center", "eval_bench",
+                     "eval_train0", "eval_train6", "eval_train6_config", "eval_train6_center",
+                     "analyze"):
             lines += _hash_tree(path(name), name)
         lines.append(f"{_digest(gradcheck)}  gradcheck/stdout")
     return lines
