@@ -37,7 +37,7 @@ class Tensor:
     and never mutate their operands.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "_parents", "_backward_fn", "__weakref__")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -465,14 +465,58 @@ def linear(weight, bias, x):
 # -- convolution ---------------------------------------------------------
 
 
+def _im2col(data, k, stride, pad, h_out, w_out):
+    """The [h_out*w_out, k*k*Cin] patch matrix of an [H,W,Cin] map: the map
+    itself for a 1x1 stride-1 unpadded conv, else a copy of a strided view of
+    the zero-padded map (a reshaped view can keep overlapping rows, which
+    BLAS cannot take)."""
+    h, w_in, cin = data.shape
+    if k == 1 and stride == 1 and pad == 0:
+        return np.ascontiguousarray(data).reshape(h * w_in, cin)
+    padded = np.zeros((h + 2 * pad, w_in + 2 * pad, cin), dtype=data.dtype)
+    padded[pad:pad + h, pad:pad + w_in] = data
+    s0, s1, s2 = padded.strides
+    windows = np.ndarray((h_out, w_out, k, k, cin), dtype=data.dtype, buffer=padded,
+                         strides=(s0 * stride, s1 * stride, s0, s1, s2))
+    return np.ascontiguousarray(windows).reshape(h_out * w_out, k * k * cin)
+
+
+def _col2im(dcols, shape, k, stride, pad, h_out, w_out):
+    """Scatter a patch-matrix gradient [h_out*w_out, k*k*Cin] onto the [H,W,Cin]
+    map through parity planes ``pw`` columns wide (see conv2d): tap (ki, kj)
+    adds at offset (ki//stride)*pw + kj//stride of its flattened plane."""
+    h, w_in, cin = shape
+    s = stride
+    ph, pw = -(-(h + 2 * pad) // s), -(-(w_in + 2 * pad) // s)
+    taps = dcols.reshape(h_out, w_out, k * k, cin)
+    widened = np.zeros((h_out, pw, cin), dtype=dcols.dtype)
+    rows = (h_out - 1) * pw + w_out
+    flat = widened.reshape(h_out * pw, cin)[:rows]
+    planes = np.zeros((s, s, ph * pw, cin), dtype=dcols.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            widened[:, :w_out] = taps[:, :, ki * k + kj]
+            at = (ki // s) * pw + kj // s
+            planes[ki % s, kj % s, at:at + rows] += flat
+    del taps, dcols
+    gpad = planes.reshape(s, s, ph, pw, cin).transpose(2, 0, 3, 1, 4).reshape(ph * s, pw * s, cin)
+    return gpad[pad:pad + h, pad:pad + w_in]
+
+
 def conv2d(x, weight, bias, stride=1, pad=0):
     """2-D cross-correlation on an [H,W,Cin] map.
 
     weight is [k,k,Cin,Cout] with k odd, bias is [Cout]. Output spatial size
-    is floor((H + 2*pad - k)/stride) + 1. Implemented as im2col + matmul:
-    the patch matrix [h_out*w_out, k*k*Cin] is copied once from a strided
-    view of the zero-padded input, and a 1x1 stride-1 unpadded conv reads
-    the input itself as that matrix, with no copy.
+    is floor((H + 2*pad - k)/stride) + 1. Implemented as im2col + matmul
+    (_im2col). The node keeps only its input, whose data the graph holds
+    anyway: backward builds the patch matrix again for the weight-gradient
+    GEMM. It scatters the patch gradient (_col2im) into stride**2 parity
+    planes of the padded input, plane (a, b) holding rows a + stride*r and
+    columns b + stride*c. With its rows widened by zeros to the plane's
+    width, tap (ki, kj) is one contiguous add into plane (ki % stride,
+    kj % stride). The taps add in (ki, kj) order, so each element sums the
+    same values in the same order as one strided add per tap would, plus
+    adds of +0.0, which change no value and no sign of zero.
 
     An ``x`` that is not a Tensor (a plain array, such as the image) is a
     constant: no gradient is computed for it, which skips the input-gradient
@@ -506,37 +550,24 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         raise ShapeError(f"conv2d: output would be empty for input {x.shape} with k={k}")
 
     pointwise = k == 1 and stride == 1 and pad == 0
-    if pointwise:
-        patches = np.ascontiguousarray(x.data).reshape(h * w_in, cin)
-    else:
-        padded = np.zeros((h + 2 * pad, w_in + 2 * pad, cin), dtype=x.dtype)
-        padded[pad:pad + h, pad:pad + w_in] = x.data
-        s0, s1, s2 = padded.strides
-        windows = np.ndarray((h_out, w_out, k, k, cin), dtype=x.dtype, buffer=padded,
-                             strides=(s0 * stride, s1 * stride, s0, s1, s2))
-        # a copy: a reshaped view can keep overlapping rows, which BLAS cannot take
-        patches = np.ascontiguousarray(windows).reshape(h_out * w_out, k * k * cin)
     w_mat = weight.data.reshape(k * k * cin, cout)
-    data = patches @ w_mat
+    data = _im2col(x.data, k, stride, pad, h_out, w_out) @ w_mat
     data += bias.data
     data = data.reshape(h_out, w_out, cout)
 
     def backward_fn(g):
         g_mat = g.reshape(h_out * w_out, cout)
         _accum(bias, g_mat.sum(axis=0))
+        patches = _im2col(x.data, k, stride, pad, h_out, w_out)
         _accum(weight, (patches.T @ g_mat).reshape(weight.shape))
+        del patches
         if x_is_const:
             return
         if pointwise:
             _accum(x, (g_mat @ w_mat.T).reshape(h, w_in, cin))
-            return
-        dpatch = (g_mat @ w_mat.T).reshape(h_out, w_out, k, k, cin)
-        gpad = np.zeros((h + 2 * pad, w_in + 2 * pad, cin), dtype=x.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                gpad[ki:ki + h_out * stride:stride,
-                     kj:kj + w_out * stride:stride] += dpatch[:, :, ki, kj]
-        _accum(x, gpad[pad:pad + h, pad:pad + w_in] if pad else gpad)
+        else:
+            # _col2im drops the patch gradient once it has scattered it
+            _accum(x, _col2im(g_mat @ w_mat.T, x.shape, k, stride, pad, h_out, w_out))
 
     return _node(data, (x, weight, bias), backward_fn)
 

@@ -89,6 +89,8 @@ def train_step(batch, params, forward, state, cfg):
                 )
             sums[key] += value
         breakdown.total.backward()
+        # the next image's forward then runs with no graph but its own alive
+        del outputs, breakdown
     n = len(batch)
     grads = {
         name: (p.grad / n if p.grad is not None else np.zeros_like(p.data))

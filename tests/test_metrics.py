@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -522,6 +524,20 @@ class TestEvaluateDataset:
         assert 0.0 <= report.mean_iou_top10 <= 1.0
         assert report.n_correct >= 0
         assert 0.0 <= report.ap50 <= 1.0
+
+    def test_one_graph_alive(self):
+        # a scene's graph is freed before the next scene's forward
+        cfg, forward = self.tiny_model()
+        seen = []
+
+        def forward_checked(image):
+            assert all(ref() is None for ref in seen)
+            out = forward(image)
+            seen.append(weakref.ref(out.P_align))
+            return out
+
+        evaluate_dataset(forward_checked, [self.record(s) for s in range(3)], cfg.grid())
+        assert len(seen) == 3
 
     def test_no_instances_reports_missing_ap(self):
         cfg, forward = self.tiny_model()

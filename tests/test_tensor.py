@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,8 +255,9 @@ class TestConv:
             T.conv2d(x, Tensor(np.ones((3, 3, 2, 1))), Tensor(np.zeros(2)))  # bias size
 
     @given(
-        k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
-        h=st.integers(1, 9), w=st.integers(1, 9), cin=st.integers(1, 6), cout=st.integers(1, 6),
+        k=st.sampled_from([1, 3, 5]), stride=st.sampled_from([1, 2, 3]),
+        pad=st.sampled_from([0, 1, 2]), h=st.integers(1, 12), w=st.integers(1, 12),
+        cin=st.integers(1, 6), cout=st.integers(1, 6),
         dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
@@ -279,6 +282,22 @@ class TestConv:
             assert got.dtype == dtype and got.shape == want.shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_node_holds_its_output_not_its_patches(self):
+        # a 3x3 64->64 conv on a 16x16 map: the [256, 576] patch matrix is
+        # nine times the input; the node keeps the input, which the caller
+        # holds anyway, and its output
+        rng = np.random.default_rng(3)
+        wt = Tensor(rng.normal(size=(3, 3, 64, 64)).astype(np.float32))
+        bt = Tensor(np.zeros(64, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            x = Tensor(rng.normal(size=(16, 16, 64)).astype(np.float32))
+            out = T.conv2d(x, wt, bt, pad=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.25 * (x.data.nbytes + out.data.nbytes)
 
     @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (3, 2, 1), (3, 1, 1)])
     def test_constant_input_gets_no_gradient(self, k, stride, pad):

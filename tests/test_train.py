@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -53,6 +55,15 @@ def tiny_dataset(tmp_path, n=4, seed0=0, size=32):
     path = tmp_path / "scenes.tdset"
     write_dataset(records, path)
     return path, records
+
+
+def load_tool(name):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 TRAJECTORY_PIN = os.path.join(
@@ -251,6 +262,41 @@ class TestTrainStep:
         params, forward = build_model(cfg)
         with pytest.raises(TrainingError):
             train_step([], params, forward, OptState(), cfg)
+
+    def test_one_graph_alive(self, tmp_path):
+        # an image's graph is freed after its backward, before the next forward
+        cfg = tiny_cfg()
+        _, records = tiny_dataset(tmp_path, n=3)
+        params, forward = build_model(cfg)
+        seen = []
+
+        def forward_checked(image):
+            assert all(ref() is None for ref in seen)
+            out = forward(image)
+            seen.append(weakref.ref(out.P_align))
+            return out
+
+        train_step(records, params, forward_checked, OptState(), cfg)
+        assert len(seen) == 3
+
+
+class TestImageMemory:
+    # tools/graph_memory.py's figures at the default config; tracemalloc
+    # counts what Python and numpy allocate, so they do not move with the
+    # allocator
+    @pytest.fixture(scope="class")
+    def model(self):
+        cfg = ModelConfig()
+        record = make_dataset(train_seeds(1), DatasetConfig())[0]
+        params, forward = build_model(cfg)
+        return cfg, record, params, forward
+
+    def test_training_image_peak(self, model):
+        assert load_tool("graph_memory").train_image_peak_mb(*model) < 9.0
+
+    def test_forward_graph(self, model):
+        _, record, _, forward = model
+        assert load_tool("graph_memory").forward_graph_mb(record, forward) < 3.5
 
 
 class TestTrainLoop:
