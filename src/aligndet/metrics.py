@@ -261,9 +261,7 @@ def evaluate_dataset(forward, records, grid):
         totals += np.array(box_census(dets, rec.instances))
         image_dets.append(dets)
         image_gts.append(rec.instances)
-        # the next forward runs with no graph but its own alive. Dropped before
-        # the detections were made, the graph left the heap's top free, glibc
-        # gave it back, and a one-scene eval faulted ~3 MB of pages in per pass
+        # the next forward runs with no graph but its own alive
         del out
     pcc50, iou10 = alignment_analysis(pools)
     ap50, ap = average_precision(image_dets, image_gts)

@@ -272,18 +272,31 @@ DATASET_VERSION = 1
 
 
 def write_dataset(records, path):
-    """Write records to the dataset file format (see :func:`read_dataset`)."""
-    chunks = [DATASET_MAGIC, struct.pack("<II", DATASET_VERSION, len(records))]
+    """Write records to the dataset file format (see :func:`read_dataset`).
+
+    The file is packed into one buffer of its exact size, so writing holds
+    its bytes once, not once as per-record chunks and again as their join.
+    """
+    # an image tensor is 8 header bytes, 4 per dim and 4 per float32 value
+    size = 13 + sum(8 + (8 + 4 * np.ndim(rec.image) + 4 * np.size(rec.image))
+                    + 4 + 20 * len(rec.instances) for rec in records)
+    buf = bytearray(size)
+    struct.pack_into("<5sII", buf, 0, DATASET_MAGIC, DATASET_VERSION, len(records))
+    offset = 13
     for rec in records:
-        chunks.append(struct.pack("<Q", int(rec.seed) & 0xFFFFFFFFFFFFFFFF))
-        chunks.append(tensor_to_bytes(rec.image))
-        chunks.append(struct.pack("<I", len(rec.instances)))
+        struct.pack_into("<Q", buf, offset, int(rec.seed) & 0xFFFFFFFFFFFFFFFF)
+        blob = tensor_to_bytes(rec.image)
+        buf[offset + 8:offset + 8 + len(blob)] = blob
+        offset += 8 + len(blob)
+        struct.pack_into("<I", buf, offset, len(rec.instances))
+        offset += 4
         for box, class_id in rec.instances:
-            chunks.append(
-                struct.pack("<4fI", box.x1, box.y1, box.x2, box.y2, int(class_id))
-            )
+            struct.pack_into("<4fI", buf, offset, box.x1, box.y1, box.x2, box.y2, int(class_id))
+            offset += 20
+    if offset != size:
+        raise FormatError(f"dataset packed {offset} bytes into a {size}-byte buffer", offset=offset)
     with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+        f.write(buf)
 
 
 def read_dataset(path):

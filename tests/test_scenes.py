@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +212,34 @@ class TestDatasetFile:
             assert loaded.seed == orig.seed
             assert np.array_equal(loaded.image, orig.image)
             assert loaded.instances == orig.instances
+
+    def test_bytes_follow_the_layout(self, tmp_path):
+        # header, then per record: u64 seed, image tensor (magic, u32 rank,
+        # u32 dims, f32 payload), u32 instance count, 4 f32 + u32 per instance
+        records = make_dataset(val_seeds(2), DatasetConfig(image_size=32))
+        expected = b"TDSET" + struct.pack("<II", 1, 2)
+        for rec in records:
+            expected += struct.pack("<Q4sI3I", rec.seed, b"TNSR", 3, *rec.image.shape)
+            expected += rec.image.astype("<f4").tobytes()
+            expected += struct.pack("<I", len(rec.instances))
+            for box, class_id in rec.instances:
+                expected += struct.pack("<4fI", box.x1, box.y1, box.x2, box.y2, class_id)
+        path = tmp_path / "layout.tdset"
+        write_dataset(records, path)
+        assert path.read_bytes() == expected
+
+    def test_writing_holds_the_file_once(self, tmp_path):
+        # 64 scenes at the default size make a 12.6 MB file; per-record
+        # chunks and their join held it twice
+        records = make_dataset(range(64), DatasetConfig())
+        path = tmp_path / "scenes.tdset"
+        tracemalloc.start()
+        try:
+            write_dataset(records, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * path.stat().st_size
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.tdset"
