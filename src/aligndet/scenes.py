@@ -13,16 +13,19 @@ is not the evidence that localizes the box.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
+import uuid
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 from .geometry import Box, instance_arrays
-from .tensor import tensor_from_bytes, tensor_to_bytes
+from .tensor import _tensor_layout, tensor_to_bytes
 
 CLASS_NAMES = ("disk", "square", "triangle")
 
@@ -117,11 +120,67 @@ class SceneRecord:
     instances: list = field(default_factory=list)  # [(Box, class_id), ...]
     seed: int = 0
 
+    @property
+    def image_shape(self):
+        """The image's shape; a stored scene reads it without decoding pixels."""
+        return np.shape(self.image)
+
     def boxes_array(self):
         return instance_arrays(self.instances)[0]
 
     def classes_array(self):
         return instance_arrays(self.instances)[1]
+
+
+class StoredScene(SceneRecord):
+    """A scene read from a dataset file: it holds where its pixels are, not them.
+
+    Each read of ``image`` decodes a fresh, writable float32 array with one
+    positional read of the file that :func:`read_dataset` checked. A file
+    cut short since then raises FormatError.
+    """
+
+    def __init__(self, file, offset, shape, instances, seed):
+        self._file = file
+        self._offset = offset
+        self._shape = shape
+        self.instances = instances
+        self.seed = seed
+
+    @property
+    def image_shape(self):
+        return self._shape
+
+    @property
+    def image(self):
+        return self._file.read_image(self._offset, self._shape)
+
+
+class _DatasetFile:
+    """One open dataset file, shared by the scenes read from it.
+
+    Its descriptor is closed when the last of them is dropped. Reads are
+    positional (pread), so they need no lock and move no shared cursor.
+    """
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+        self.fd = os.open(self.path, os.O_RDONLY)
+        self.close = weakref.finalize(self, os.close, self.fd)
+
+    def __reduce__(self):
+        # a descriptor number names nothing, or another file, in another process
+        raise TypeError(f"scenes read from {self.path} cannot be pickled; send the path")
+
+    def read_image(self, offset, shape):
+        image = np.empty(shape, dtype="<f4")
+        got = os.preadv(self.fd, [image], offset)
+        if got != image.nbytes:
+            raise FormatError(
+                f"dataset {self.path} cut short: image needs {image.nbytes} bytes, "
+                f"the file holds {got} of them", offset=offset + got,
+            )
+        return image.astype(np.float32, copy=False)
 
 
 # -- rasterization -------------------------------------------------------
@@ -275,10 +334,14 @@ def write_dataset(records, path):
     """Write records to the dataset file format (see :func:`read_dataset`).
 
     The file is packed into one buffer of its exact size, so writing holds
-    its bytes once, not once as per-record chunks and again as their join.
+    its bytes once, not once as per-record chunks and again as their join;
+    each record's image is read once. The buffer goes to a temporary file
+    beside ``path``, which is then renamed over it: a failed write leaves
+    ``path`` as it was, and scenes already read from ``path`` keep reading
+    the file they were read from.
     """
     # an image tensor is 8 header bytes, 4 per dim and 4 per float32 value
-    size = 13 + sum(8 + (8 + 4 * np.ndim(rec.image) + 4 * np.size(rec.image))
+    size = 13 + sum(8 + (8 + 4 * len(rec.image_shape) + 4 * math.prod(rec.image_shape))
                     + 4 + 20 * len(rec.instances) for rec in records)
     buf = bytearray(size)
     struct.pack_into("<5sII", buf, 0, DATASET_MAGIC, DATASET_VERSION, len(records))
@@ -295,8 +358,16 @@ def write_dataset(records, path):
             offset += 20
     if offset != size:
         raise FormatError(f"dataset packed {offset} bytes into a {size}-byte buffer", offset=offset)
-    with open(path, "wb") as f:
-        f.write(buf)
+    parent, base = os.path.split(os.path.abspath(path))
+    staged = os.path.join(parent, f".{base}.tmp-{uuid.uuid4().hex}")
+    try:
+        with open(staged, "wb") as f:
+            f.write(buf)
+        os.replace(staged, path)
+    except BaseException:
+        if os.path.exists(staged):
+            os.remove(staged)
+        raise
 
 
 def read_dataset(path):
@@ -306,18 +377,24 @@ def read_dataset(path):
     u64 seed, a serialized image tensor, u32 instance count, then per
     instance 4 f32 box coordinates and a u32 class id. Little-endian
     throughout. Malformed input raises FormatError with the byte offset.
+
+    The whole file is checked here, but no image is decoded: the records are
+    :class:`StoredScene` objects, which keep the file open and decode an
+    image each time it is read. The file is parsed through a read-only map
+    of it, not a heap copy of it.
     """
-    # parsed through a read-only map of the file, not a heap copy of it: the
-    # decoded arrays are the only file-sized allocation, and reading frees
-    # no file-sized heap block that the allocator would then keep around
-    with open(path, "rb") as f:
-        if os.fstat(f.fileno()).st_size < 13:
+    file = _DatasetFile(path)
+    try:
+        if os.fstat(file.fd).st_size < 13:
             raise FormatError("file too short for dataset header", offset=0)
-        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as buf:
-            return _parse_dataset(buf)
+        with mmap.mmap(file.fd, 0, access=mmap.ACCESS_READ) as buf:
+            return _parse_dataset(buf, file)
+    except BaseException:
+        file.close()
+        raise
 
 
-def _parse_dataset(buf):
+def _parse_dataset(buf, file):
     if buf[:5] != DATASET_MAGIC:
         raise FormatError(f"bad dataset magic {buf[:5]!r}", offset=0)
     version, count = struct.unpack_from("<II", buf, 5)
@@ -330,10 +407,10 @@ def _parse_dataset(buf):
             raise FormatError(f"truncated seed in record {rec_idx}", offset=offset)
         (seed,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
-        image, offset = tensor_from_bytes(buf, offset)
-        if image.ndim != 3 or image.shape[2] != 3:
+        shape, pixels, offset = _tensor_layout(buf, offset)
+        if len(shape) != 3 or shape[2] != 3:
             raise FormatError(
-                f"record {rec_idx} image has shape {image.shape}, expected [H,W,3]",
+                f"record {rec_idx} image has shape {shape}, expected [H,W,3]",
                 offset=offset,
             )
         if len(buf) < offset + 4:
@@ -356,7 +433,7 @@ def _parse_dataset(buf):
                 raise FormatError(
                     f"invalid box in record {rec_idx}: {exc}", offset=offset - 20
                 ) from None
-        records.append(SceneRecord(image=image, instances=instances, seed=seed))
+        records.append(StoredScene(file, pixels, shape, instances, seed))
     if offset != len(buf):
         raise FormatError(
             f"{len(buf) - offset} trailing bytes after last record", offset=offset

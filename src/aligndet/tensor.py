@@ -715,6 +715,17 @@ def tensor_to_bytes(arr):
 
 def tensor_from_bytes(buf, offset=0):
     """Parse one serialized tensor; returns (float32 array, next offset)."""
+    dims, payload, end = _tensor_layout(buf, offset)
+    data = np.frombuffer(buf, dtype="<f4", count=(end - payload) // 4, offset=payload)
+    return data.reshape(dims).astype(np.float32), end
+
+
+def _tensor_layout(buf, offset=0):
+    """Check one serialized tensor's header and extent without decoding it.
+
+    Returns (dims, payload offset, next offset); raises what
+    :func:`tensor_from_bytes` raises for the same bytes.
+    """
     start = offset
     if len(buf) < offset + 8:
         raise FormatError("truncated tensor header", offset=start)
@@ -737,6 +748,4 @@ def tensor_from_bytes(buf, offset=0):
         raise FormatError(
             f"truncated tensor payload (need {nbytes} bytes)", offset=offset
         )
-    data = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
-    offset += nbytes
-    return data.reshape(dims).astype(np.float32), offset
+    return dims, offset, offset + nbytes

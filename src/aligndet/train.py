@@ -106,10 +106,11 @@ def check_records(records, cfg, path):
     if not records:
         raise ConfigError(f"dataset {path} holds no scenes")
     for rec in records:
-        if rec.image.shape[0] != cfg.image_size:
+        height, width = rec.image_shape[:2]
+        if (height, width) != (cfg.image_size, cfg.image_size):
             raise ConfigError(
-                f"dataset {path}: scene seed {rec.seed} is {rec.image.shape[0]}px, "
-                f"model expects {cfg.image_size}px"
+                f"dataset {path}: scene seed {rec.seed} is {height}x{width}, "
+                f"model expects {cfg.image_size}x{cfg.image_size}"
             )
         for _, class_id in rec.instances:
             if class_id >= cfg.num_classes:

@@ -12,7 +12,9 @@ from aligndet import cli
 from aligndet.cli import main
 from aligndet.errors import CheckpointError
 from aligndet.model import ModelConfig, build_model
-from aligndet.scenes import SplitMix64, read_dataset, write_dataset
+from aligndet.scenes import (
+    DatasetConfig, SceneRecord, SplitMix64, generate_scene, read_dataset, write_dataset,
+)
 from aligndet.tensor import tensor_from_bytes, tensor_to_bytes
 from aligndet.train import adopt_params, load_checkpoint
 
@@ -247,6 +249,19 @@ class TestTrain:
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--dataset", data, "--out", str(out)]) == 2
         assert "holds class 2, model has 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scene_width_unlike_the_config(self, tmp_path, cfg_path, capsys):
+        # a 32x16 scene has the configured height but half its width: the
+        # dataset check names the scene before the run makes --out
+        scene = generate_scene(7, DatasetConfig(image_size=32, num_classes=2))
+        narrow = SceneRecord(image=scene.image[:, :16].copy(), seed=scene.seed)
+        data = tmp_path / "narrow.tdset"
+        write_dataset([narrow], str(data))
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg_path, "--dataset", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: dataset {data}: scene seed 7 is 32x16, model expects 32x32\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("section,value", BAD_VALUES)

@@ -1,4 +1,7 @@
+import os
+import pickle
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aligndet import scenes
 from aligndet.errors import ConfigError, FormatError
 from aligndet.scenes import (
     MIN_BOX_SIDE,
@@ -240,6 +244,119 @@ class TestDatasetFile:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * path.stat().st_size
+
+    def test_rewriting_read_scenes_holds_the_file_once(self, tmp_path):
+        # scenes read from a file decode their images one at a time while
+        # they are written back over it
+        path = tmp_path / "scenes.tdset"
+        write_dataset(make_dataset(range(64), DatasetConfig()), path)
+        records = read_dataset(path)
+        tracemalloc.start()
+        try:
+            write_dataset(records, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * path.stat().st_size
+        assert all(np.array_equal(a.image, b.image) for a, b in zip(records, read_dataset(path)))
+
+    def test_rewrite_keeps_what_readers_read(self, tmp_path):
+        cfg = DatasetConfig(image_size=32)
+        path = tmp_path / "scenes.tdset"
+        old = make_dataset(range(3), cfg)
+        new = make_dataset(range(10, 13), cfg)
+        write_dataset(old, path)
+        before = read_dataset(path)
+        write_dataset(new, path)
+        after = read_dataset(path)
+        for rec, was, now, fresh in zip(old, before, new, after):
+            assert np.array_equal(was.image, rec.image)
+            assert np.array_equal(fresh.image, now.image)
+        assert [r.seed for r in after] == [10, 11, 12]
+
+    def test_failed_write_leaves_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scenes.tdset"
+        write_dataset(make_dataset(range(2), DatasetConfig(image_size=32)), path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        # the real open, with every write failing
+        monkeypatch.setattr(scenes, "open", lambda *a, **k: FullDisk(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            write_dataset(make_dataset(range(5, 7), DatasetConfig(image_size=32)), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["scenes.tdset"]
+
+    def test_reading_decodes_no_image(self, tmp_path):
+        # 64 default scenes are a 12.6 MB file; the records hold its layout
+        path = tmp_path / "scenes.tdset"
+        write_dataset(make_dataset(range(64), DatasetConfig()), path)
+        tracemalloc.start()
+        try:
+            records = read_dataset(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 64
+        assert held < 2 ** 20
+
+    def test_each_read_is_a_fresh_array(self, tmp_path):
+        cfg = DatasetConfig(image_size=32)
+        path = tmp_path / "scenes.tdset"
+        write_dataset(make_dataset(range(3), cfg), path)
+        for rec in read_dataset(path):
+            first, second = rec.image, rec.image
+            assert first is not second
+            assert first.dtype == np.float32 and first.flags.writeable
+            assert rec.image_shape == first.shape
+            expected = generate_scene(rec.seed, cfg).image.tobytes()
+            assert first.tobytes() == expected
+            first[:] = -1.0
+            assert second.tobytes() == rec.image.tobytes() == expected
+
+    def test_file_cut_after_reading(self, tmp_path):
+        path = tmp_path / "scenes.tdset"
+        write_dataset(make_dataset(range(2), DatasetConfig(image_size=32)), path)
+        records = read_dataset(path)
+        os.truncate(path, path.stat().st_size // 2)
+        with pytest.raises(FormatError, match="cut short"):
+            records[1].image
+
+    def test_read_scenes_do_not_pickle(self, tmp_path):
+        # the open descriptor is this process's; a worker gets the path
+        path = tmp_path / "scenes.tdset"
+        write_dataset(make_dataset(range(1), DatasetConfig(image_size=32)), path)
+        with pytest.raises(TypeError, match="send the path"):
+            pickle.dumps(read_dataset(path)[0])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+    def test_descriptor_closed_with_the_last_scene(self, tmp_path):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        path = tmp_path / "scenes.tdset"
+        write_dataset(make_dataset(range(3), DatasetConfig(image_size=32)), path)
+        baseline = open_fds()
+        records = read_dataset(path)
+        assert open_fds() == baseline + 1
+        last = records[-1]
+        del records
+        assert open_fds() == baseline + 1
+        del last
+        assert open_fds() == baseline
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.tdset"

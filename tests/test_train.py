@@ -7,12 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
+from aligndet import scenes
 from aligndet.errors import CheckpointError, ConfigError, TrainingError
 from aligndet.losses import total_loss
 from aligndet.model import ModelConfig, build_model, init_model_params
 from aligndet.scenes import (
     DatasetConfig,
     make_dataset,
+    read_dataset,
     train_seeds,
     write_dataset,
 )
@@ -279,6 +281,25 @@ class TestTrainStep:
         train_step(records, params, forward_checked, OptState(), cfg)
         assert len(seen) == 3
 
+    def test_no_decoded_image_outlives_the_step(self, tmp_path, monkeypatch):
+        # scenes read from a file decode their pixels on each read of .image;
+        # a step decodes each image once and drops it with the image's graph
+        cfg = tiny_cfg(batch_size=3)
+        path, _ = tiny_dataset(tmp_path, n=3)
+        read_image = scenes._DatasetFile.read_image
+        decoded = []
+
+        def read_image_watched(self, offset, shape):
+            image = read_image(self, offset, shape)
+            decoded.append(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(scenes._DatasetFile, "read_image", read_image_watched)
+        params, forward = build_model(cfg)
+        train_step(read_dataset(path), params, forward, OptState(), cfg)
+        assert len(decoded) == 3
+        assert all(ref() is None for ref in decoded)
+
 
 class TestImageMemory:
     # tools/graph_memory.py's figures at the default config; tracemalloc
@@ -297,6 +318,13 @@ class TestImageMemory:
     def test_forward_graph(self, model):
         _, record, _, forward = model
         assert load_tool("graph_memory").forward_graph_mb(record, forward) < 3.5
+
+    def test_dataset_resident(self, tmp_path):
+        # 64 default scenes are a 12.6 MB file; the records read from it
+        # hold where each image is, not its pixels
+        tool = load_tool("graph_memory")
+        path = tool.write_default_split(str(tmp_path / "train.tdset"))
+        assert tool.dataset_resident_mb(path) < 1.0
 
 
 class TestTrainLoop:
